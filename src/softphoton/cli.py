@@ -75,27 +75,59 @@ class RunConfig:
     lambda_sweep: tuple
 
 
+# keys each config section accepts; known but unused sections stay allowed
+_SECTION_KEYS = {
+    "window": ("lambda", "Lambda"),
+    "kinematics": ("charge", "u_in", "u_out", "p_in", "p_out", "mass"),
+    "form_factor": ("kind", "params"),
+    "fock": ("nodes", "cap"),
+    "output": ("format", "path"),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+}
+_TOP_KEYS = ("model", "gauge", "epsilon_ladder", "seed", "lambda_sweep",
+             *_SECTION_KEYS)
+
+
 def _require(cond, msg: str):
     if not cond:
         raise ConfigError(msg)
 
 
-def _parse_form_factor(doc) -> FormFactor:
-    _require(isinstance(doc, dict) and "kind" in doc,
-             "form_factor needs a kind")
+def _check_keys(doc: dict, known, where: str):
+    unknown = sorted(set(doc) - set(known))
+    _require(not unknown, f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def _section(doc: dict, name: str, required: bool = False) -> dict:
+    """Config section ``name`` as a dict of known keys ({} when absent)."""
+    _require(name in doc or not required, f"missing section {name!r}")
+    sec = doc.get(name, {})
+    _require(isinstance(sec, dict), f"section {name!r} must be a JSON object")
+    _check_keys(sec, _SECTION_KEYS[name], name)
+    return sec
+
+
+# constructor and its parameters, in order, per form factor kind
+_FORM_FACTORS = {
+    "sharp": (FormFactor.sharp, ("lam", "Lam")),
+    "gaussian": (FormFactor.gaussian, ("sigma",)),
+    "tabulated": (FormFactor.tabulated, ("k", "values")),
+}
+
+
+def _parse_form_factor(doc: dict) -> FormFactor:
+    _require("kind" in doc, "form_factor needs a kind")
     kind = doc["kind"]
+    _require(kind in _FORM_FACTORS, f"unknown form factor kind {kind!r}")
+    make, names = _FORM_FACTORS[kind]
     params = doc.get("params", {})
-    if kind == "sharp":
-        return FormFactor.sharp(params["lam"], params["Lam"])
-    if kind == "gaussian":
-        return FormFactor.gaussian(params["sigma"])
-    if kind == "tabulated":
-        return FormFactor.tabulated(params["k"], params["values"])
-    raise ConfigError(f"unknown form factor kind {kind!r}")
+    _require(isinstance(params, dict),
+             "form_factor params must be a JSON object")
+    _check_keys(params, names, f"{kind} form_factor params")
+    return make(*(params[name] for name in names))
 
 
-def _parse_kinematics(doc, model: str) -> ScatteringKinematics:
-    _require(isinstance(doc, dict), "kinematics must be an object")
+def _parse_kinematics(doc: dict, model: str) -> ScatteringKinematics:
     charge = float(doc["charge"])
     if model == "BN":
         return ScatteringKinematics.bn(u_in=doc["u_in"], u_out=doc["u_out"],
@@ -118,6 +150,8 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
+        _require(isinstance(doc, dict), "config must be a JSON object")
+        _check_keys(doc, _TOP_KEYS, "top-level")
         model = doc["model"]
         _require(model in ("BN", "dipole"), f"unknown model {model!r}")
         gauges = doc.get("gauge", list(_GAUGES))
@@ -125,24 +159,24 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
             gauges = [gauges]
         _require(gauges and all(g in _GAUGES for g in gauges),
                  "gauge must be FGB, Coulomb, or a list of them")
-        win = doc["window"]
+        win = _section(doc, "window", required=True)
         window = CutoffWindow(lam=float(lam if lam is not None
                                         else win["lambda"]),
                               Lam=float(Lam if Lam is not None
                                         else win["Lambda"]))
-        rho = _parse_form_factor(doc["form_factor"])
-        kin = _parse_kinematics(doc["kinematics"], model)
+        rho = _parse_form_factor(_section(doc, "form_factor", required=True))
+        kin = _parse_kinematics(_section(doc, "kinematics", required=True),
+                                model)
         ladder = tuple(float(e) for e in doc.get("epsilon_ladder", []))
-        fock = doc.get("fock", {})
+        fock = _section(doc, "fock")
         fock_nodes = int(fock.get("nodes", 1))
         fock_cap = int(fock.get("cap", 5))
         _require(fock_nodes >= 1 and fock_cap >= 1,
                  "fock grid needs nodes >= 1 and cap >= 1")
         tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in doc.get("tolerances", {}).items():
-            _require(key in DEFAULT_TOLERANCES, f"unknown tolerance {key!r}")
+        for key, val in _section(doc, "tolerances").items():
             tolerances[key] = float(val)
-        output = doc.get("output", {})
+        output = _section(doc, "output")
         out_format = output.get("format", "json")
         _require(out_format in ("json", "csv"),
                  "output format must be json or csv")
@@ -228,7 +262,8 @@ def cmd_corrections(cfg: RunConfig) -> int:
         fgb = m.get("FGB")
         doc["log_ratio"] = (fgb / coul
                             if fgb is not None and coul is not None
-                            and abs(coul) > 1e-13 else None)
+                            and not cfg.kin.degenerate and coul != 0.0
+                            else None)
     if cfg.epsilon_ladder:
         doc["ledger"] = {
             leg: _ledger_dict(renormalization_ledger(
@@ -428,11 +463,11 @@ def _fock_suite(cfg: RunConfig):
     checks.append(("bch", bch_dev, tol["bch"]))
 
     gr, hr = 0.2 * rng.normal(size=shape), 0.2 * rng.normal(size=shape)
-    W = weyl_operator(gr, hr, space)
     vac = space.vacuum()
+    weyl_vac = weyl_operator(gr, hr, space, on=vac)
     closed = np.exp(0.25 * (grid.signed_product(gr, gr)
                             + grid.signed_product(hr, hr)))
-    weyl_dev = float(abs(space.eta_product(vac, W @ vac) - closed))
+    weyl_dev = float(abs(space.eta_product(vac, weyl_vac) - closed))
     checks.append(("weyl", weyl_dev, tol["weyl"]))
 
     fgb_grid = (grid if gauge == "FGB"

@@ -228,8 +228,7 @@ class ScatteringKinematics:
 
     @property
     def degenerate(self) -> bool:
-        vi, vo = self.velocity("in"), self.velocity("out")
-        return bool(np.allclose(vi.spatial, vo.spatial, rtol=0.0, atol=0.0))
+        return self.velocity("in").spatial_t == self.velocity("out").spatial_t
 
     def replace(self, **kw) -> "ScatteringKinematics":
         return dataclasses.replace(self, **kw)

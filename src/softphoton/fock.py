@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -258,6 +257,48 @@ def _channel_intensities(grid: ModeGrid, f, charge: float) -> np.ndarray:
     return charge ** 2 * grid.node_weights() * np.abs(f) ** 2
 
 
+def _channel_vacuum(amp_sq: float, sign: float, cap: int):
+    """Truncated vacuum element T and tail D = exp(-s|a|^2/2) - T of one channel.
+
+    The truncated generator i(s a A* + conj(a) A) is a Jacobi matrix, so
+    <0|exp|0> is a sum over closed paths from level 0 in which each crossing
+    of the edge (m, m+1), up and back, weighs -s |a|^2 (m+1).  Without a cap
+    the weights of the length-2j paths add to (2j-1)!!, which is the closed
+    form; the cap drops exactly the paths that reach level cap+1, so
+    D = sum_{j>cap} (-s|a|^2)^j Q_j / (2j)! with Q_j their weighted count.
+    A walk over two sets of levels (cap not yet touched / touched) carries
+    |a|^k / k! times the weighted path counts of length k.  Every entry is
+    non-negative, the only sign is (-s)^j on the returns to level 0, so
+    float64 sums D without cancellation.  The touched levels stop at
+    ``levels - 1``, which changes no return to level 0 before step
+    2 (levels - 1).  Once the step factor |walk|_1 / k is under 1/2, the
+    mass still in flight bounds everything later steps can add; the walk
+    stops when that is under 1e-17 of the tail.
+    """
+    b = math.sqrt(amp_sq)
+    levels = 2 * cap + 4 + math.ceil(8.0 * amp_sq)
+    while True:
+        n = cap + 1 + levels
+        walk = np.zeros((n, n))
+        m = np.arange(cap)
+        walk[m, m + 1] = walk[m + 1, m] = b * np.sqrt(m + 1.0)
+        m = np.arange(levels - 1)
+        walk[cap + 1 + m, cap + 2 + m] = walk[cap + 2 + m, cap + 1 + m] = \
+            b * np.sqrt(m + 1.0)
+        walk[2 * cap + 2, cap] = b * math.sqrt(cap + 1.0)
+        k_min = max(2 * cap + 2, 4.0 * b * math.sqrt(levels))
+        v = np.zeros(n)
+        v[0] = 1.0
+        tail = 0.0
+        for k in range(1, 2 * levels - 1):
+            v = walk @ v / k
+            if k % 2 == 0:
+                tail += (-sign) ** (k // 2) * v[cap + 1]
+                if k > k_min and not v.sum() > 1e-17 * abs(tail):
+                    return math.exp(-0.5 * sign * amp_sq) - tail, tail
+        levels *= 2
+
+
 # ---------------------------------------------------------------------------
 # displacement operators
 
@@ -286,69 +327,54 @@ def displacement_vacuum_channelwise(f, charge: float, grid: ModeGrid, cap: int,
     """Same matrix element through the exact per-channel factorization.
 
     The displacement generator is block diagonal over channels, so the joint
-    vacuum expectation is the product of (cap+1) x (cap+1) single-channel
-    matrix exponentials.  This is what makes 12-channel grids tractable; the
-    factorization is validated against the dense joint computation in the
-    tests.
+    vacuum expectation is the product of the single-channel truncated vacuum
+    elements (the path sums of ``_channel_vacuum``).  This is what makes
+    12-channel grids tractable; the factorization is validated against the
+    dense joint computation in the tests.
     """
     intens = _channel_intensities(grid, f, charge)
     est = _poisson_tail(intens, cap)
     if est > truncation_tol:
         raise FockTruncationError(
             f"truncation estimate {est:.3e} above tolerance {truncation_tol:.1e}")
-    f = grid.as_channel_array(f)
-    root_w = np.sqrt(grid.node_weights())
-    signs = grid.channel_signs()
-    n = np.arange(cap)
-    lower = np.zeros((cap + 1, cap + 1), dtype=complex)
-    lower[n, n + 1] = np.sqrt(n + 1.0)
-    result = 1.0 + 0.0j
-    for c in range(grid.n_channels):
-        amp = charge * root_w[c] * f[c]
-        if amp == 0.0:
-            continue
-        gen = 1j * (amp * signs[c] * lower.conj().T + np.conj(amp) * lower)
-        result *= scipy.linalg.expm(gen)[0, 0]
+    result = 1.0
+    for amp_sq, sign in zip(intens, grid.channel_signs()):
+        if amp_sq != 0.0:
+            result *= _channel_vacuum(amp_sq, sign, cap)[0]
     return complex(result)
 
 
 def displacement_truncation_deviation(f, charge: float, grid: ModeGrid,
-                                      cap: int, dps: int = 40) -> float:
+                                      cap: int) -> float:
     """|truncated vacuum expectation - closed form|, free of float roundoff.
 
     Beyond cap ~10 the truncation error of the vacuum element drops under
-    the float64 noise floor, so convergence studies in the cap need the
-    per-channel exponentials evaluated in extended precision.  The channel
-    amplitudes are float64 values converted exactly, making truncation the
-    only difference between the two sides.
+    the float64 noise floor of either side, so it is summed directly: the
+    product difference telescopes over channels into
+    sum_c (prod_{c'<c} T_c') D_c (prod_{c'>c} C_c'), with T_c the truncated
+    and C_c the closed channel element and D_c = C_c - T_c the channel tail.
     """
-    amps = (charge * np.sqrt(grid.node_weights())
-            * grid.as_channel_array(f))
+    intens = _channel_intensities(grid, f, charge)
     signs = grid.channel_signs()
-    with mp.workdps(dps):
-        truncated = mp.mpc(1)
-        closed = mp.mpc(1)
-        for c in range(grid.n_channels):
-            a = mp.mpc(amps[c].real, amps[c].imag)
-            if a == 0:
-                continue
-            s = int(signs[c])
-            gen = mp.zeros(cap + 1)
-            for m in range(cap):
-                root = mp.sqrt(m + 1)
-                gen[m, m + 1] = 1j * mp.conj(a) * root
-                gen[m + 1, m] = 1j * s * a * root
-            truncated *= mp.expm(gen)[0, 0]
-            closed *= mp.e ** (-s * abs(a) ** 2 / 2)
-        return float(abs(truncated - closed))
+    deviation = 0.0
+    head = 1.0
+    for c, (amp_sq, sign) in enumerate(zip(intens, signs)):
+        if amp_sq == 0.0:
+            continue
+        truncated, tail = _channel_vacuum(amp_sq, sign, cap)
+        later = math.exp(-0.5 * float(np.dot(signs[c + 1:], intens[c + 1:])))
+        deviation += head * tail * later
+        head *= truncated
+    return float(abs(deviation))
 
 
-def weyl_operator(g, h, space: TruncatedFockSpace) -> np.ndarray:
+def weyl_operator(g, h, space: TruncatedFockSpace, on=None) -> np.ndarray:
     """W(g, h) = exp(-(i/sqrt 2)[a*(n) + a(nbar)]) with n = g + i h.
 
     g and h must be real smearings.  Returned dense so the algebraic
     relations (Krein isometry, exchange phase, vacuum expectation) can be
-    checked as matrix identities.
+    checked as matrix identities; given a state ``on``, returns W @ on
+    through the sparse exponential action instead, without forming W.
     """
     g = space.grid.as_channel_array(g)
     h = space.grid.as_channel_array(h)
@@ -357,6 +383,8 @@ def weyl_operator(g, h, space: TruncatedFockSpace) -> np.ndarray:
     n = g + 1j * h
     gen = -1j / np.sqrt(2.0) * (space.creation_operator(n)
                                 + space.annihilation_operator(n))
+    if on is not None:
+        return expm_multiply(gen.tocsc(), on)
     return scipy.linalg.expm(gen.toarray())
 
 
@@ -369,16 +397,19 @@ def bch_check(f, g, charge: float, space: TruncatedFockSpace,
     is triangular in occupation), so the deviation measures how well the
     truncated exp(A+B) converges: it is taken over entries whose row and
     column occupations stay within ``occupation_budget``, a window that is
-    kept fixed while the cap grows.
+    kept fixed while the cap grows.  Both sides act only on the basis
+    columns inside that window.
     """
-    A = (1j * charge * space.creation_operator(f)).toarray()
-    B = (1j * charge * space.annihilation_operator(g)).toarray()
+    A = (1j * charge * space.creation_operator(f)).tocsc()
+    B = (1j * charge * space.annihilation_operator(g)).tocsc()
     comm = -charge ** 2 * space.grid.signed_product(g, f)
-    lhs = scipy.linalg.expm(A + B)
-    rhs = scipy.linalg.expm(A) @ scipy.linalg.expm(B) * np.exp(-0.5 * comm)
     mask = np.all(space.occupations <= occupation_budget, axis=1)
-    dev = np.abs(lhs - rhs)[np.ix_(mask, mask)]
-    return float(dev.max())
+    window = np.nonzero(mask)[0]
+    cols = np.zeros((space.dim, window.size), dtype=complex)
+    cols[window, np.arange(window.size)] = 1.0
+    lhs = expm_multiply(A + B, cols)
+    rhs = expm_multiply(A, expm_multiply(B, cols)) * np.exp(-0.5 * comm)
+    return float(np.abs(lhs - rhs)[mask].max())
 
 
 def emission_matrix_element(photons, displacement, charge: float,

@@ -243,7 +243,9 @@ def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
 class GaugeComparison:
     """Correction exponents in both gauges with the conservation diagnostic.
 
-    log_ratio = m_fgb / m_coulomb (real parts; NaN when degenerate).  The
+    log_ratio = m_fgb / m_coulomb (real parts).  It is NaN when degenerate:
+    equal leg velocities, or a Coulomb exponent that is exactly zero; the
+    test does not depend on the charge, which scales both exponents.  The
     conservation residual max |kbar.j| over sampled nodes is what drives any
     difference: zero for the BN current, positive for the dipole.
     """
@@ -261,7 +263,7 @@ def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
                   n_residual_nodes: int = 8, seed: int = 0) -> GaugeComparison:
     m_fgb = m_exponent(kin, "FGB", rho, window, rule).total
     m_coul = m_exponent(kin, "Coulomb", rho, window, rule).total
-    degenerate = abs(m_fgb) < 1e-13 and abs(m_coul) < 1e-13
+    degenerate = kin.degenerate or m_coul.real == 0.0
     ratio = float("nan") if degenerate else m_fgb.real / m_coul.real
     rng = np.random.default_rng(seed)
     spec = CurrentSpec(kin, "FGB", rho, window)

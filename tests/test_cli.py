@@ -66,6 +66,13 @@ class TestCorrections:
         doc = json.loads(open(out).read())
         assert doc["log_ratio"] == pytest.approx(1.5, abs=1e-8)
 
+    def test_small_charge_dipole_ratio(self, tmp_path):
+        kin = dict(DIPOLE_KIN, charge=1e-6)
+        cfg, out = write_config(tmp_path, model="dipole", kinematics=kin)
+        assert main(["corrections", str(cfg)]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["log_ratio"] == pytest.approx(1.5, abs=1e-8)
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
         cfg, _ = write_config(tmp_path, output={"format": "csv",
@@ -139,6 +146,46 @@ class TestConfigErrors:
                                                 "Lambda": 0.1})
         assert main(["corrections", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("section", ["fock", "output", "tolerances",
+                                         "window", "kinematics",
+                                         "form_factor"])
+    @pytest.mark.parametrize("value", [5, "yes", [1, 2], None])
+    @pytest.mark.parametrize("command", ["corrections", "fock-verify"])
+    def test_section_of_wrong_type(self, tmp_path, capsys, section, value,
+                                   command):
+        path = tmp_path / "config.json"
+        doc = dict(BASE, output={"format": "json",
+                                 "path": str(tmp_path / "r.json")})
+        doc[section] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        assert f"section {section!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", [(), ("window",), ("kinematics",),
+                                       ("form_factor",),
+                                       ("form_factor", "params"), ("fock",),
+                                       ("output",)])
+    def test_unknown_key(self, tmp_path, capsys, where):
+        doc = json.loads(json.dumps(BASE))
+        doc["output"] = {"format": "json", "path": str(tmp_path / "r.json")}
+        doc["fock"] = {"nodes": 1, "cap": 3}
+        node = doc
+        for key in where:
+            node = node[key]
+        node["verbose"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["corrections", str(path)]) == 2
+        assert "verbose" in capsys.readouterr().err
+
+    def test_known_sections_accepted(self, tmp_path):
+        # sections a subcommand does not use stay allowed
+        cfg, out = write_config(tmp_path, fock={"nodes": 1, "cap": 3},
+                                tolerances={"bch": 1e-9},
+                                epsilon_ladder=[0.1, 0.01],
+                                lambda_sweep=[0.1, 0.3])
+        assert main(["corrections", str(cfg)]) == 0
+
 
 class TestDeterminism:
     def test_corrections_byte_identical(self, tmp_path):
@@ -156,6 +203,26 @@ class TestDeterminism:
         assert main(["gauge-check", str(cfg), "--out", str(a)]) == 0
         assert main(["gauge-check", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_fock_verify_byte_identical(self, tmp_path):
+        out = tmp_path / "fv.csv"
+        cfg, _ = write_config(tmp_path, gauge="Coulomb",
+                              fock={"nodes": 2, "cap": 4},
+                              output={"format": "csv", "path": str(out)})
+        runs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "softphoton.cli", "fock-verify",
+                 str(cfg)], capture_output=True)
+            assert proc.returncode == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+
+    def test_cli_import_leaves_out_mpmath(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, softphoton.cli; "
+             "assert 'mpmath' not in sys.modules"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -192,6 +259,15 @@ class TestGaugeCheck:
             cells = [float(c) for c in line.split(",")]
             assert cells[3] == pytest.approx(1.5, abs=1e-8)
             assert cells[4] > 1e-8
+
+    def test_small_charge_dipole_sweep(self, tmp_path):
+        kin = dict(DIPOLE_KIN, charge=1e-6)
+        cfg, out = write_config(tmp_path, model="dipole", kinematics=kin,
+                                lambda_sweep=[0.1, 0.3])
+        assert main(["gauge-check", str(cfg)]) == 0
+        for row in json.loads(open(out).read())["sweep"]:
+            assert row["degenerate"] is False
+            assert row["log_ratio"] == pytest.approx(1.5, abs=1e-8)
 
     def test_empty_sweep_exit2(self, tmp_path):
         cfg, _ = write_config(tmp_path)

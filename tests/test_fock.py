@@ -249,6 +249,78 @@ class TestDisplacement:
         assert np.conj(vec) @ vec == pytest.approx(1.0, rel=1e-10)
 
 
+# |truncated - closed| of the fock-verify profile (charge 1, every channel at
+# intensity 0.5 / n_channels on the radial grid over WINDOW), caps 2..14, as
+# an extended-precision (40-digit) matrix exponential gave them
+FROZEN_DEVIATIONS = {
+    ("Coulomb", 1): [
+        0.0002168958310931682, 3.871517054621313e-06, 5.374954231140595e-08,
+        6.105671123369544e-10, 5.868986366005657e-12, 4.8895056666780526e-14,
+        3.5943975780307087e-16, 2.36426733833998e-18, 1.4070607238855704e-20,
+        7.645924627386328e-23, 3.822459120256132e-25, 1.769450745191647e-27,
+        7.626150739981805e-30],
+    ("Coulomb", 2): [
+        5.2432215025672956e-05, 4.680572434417706e-07, 3.249763978154302e-09,
+        1.8461248052007986e-11, 8.874214446790332e-14, 3.6970950877151424e-16,
+        1.3590705063794797e-18, 4.4701858669457456e-21, 1.330298704649299e-23,
+        3.614672112577604e-26, 9.036086378998484e-29, 2.0915648919226832e-31,
+        4.507449044645519e-34],
+    ("FGB", 1): [
+        3.0668085205959216e-05, 5.218269409817112e-07, 1.9002794460123598e-09,
+        2.0585632847288668e-11, 5.187582253182488e-14, 4.1230931448321955e-16,
+        7.942912588391084e-19, 4.985766904869242e-21, 7.773463135759973e-24,
+        4.031886957519638e-26, 5.279471024984579e-29, 2.3331162692620795e-31,
+        2.633282407256475e-34],
+}
+
+
+class TestTruncationTail:
+    @pytest.mark.parametrize("gauge,nodes", sorted(FROZEN_DEVIATIONS))
+    def test_frozen_fock_verify_profile(self, gauge, nodes):
+        grid = ModeGrid.radial(WINDOW, nodes, gauge)
+        f = np.sqrt(0.5 / (grid.n_channels * grid.node_weights()))
+        for cap, frozen in zip(range(2, 15), FROZEN_DEVIATIONS[gauge, nodes]):
+            dev = displacement_truncation_deviation(f, 1.0, grid, cap)
+            if frozen > 1e-28:
+                assert dev == pytest.approx(frozen, rel=1e-9), cap
+            else:
+                assert dev < 1e-27, cap
+
+    @pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+    def test_channelwise_matches_per_channel_expm(self, gauge):
+        # both commutator signs; the reference exponentiates each channel's
+        # (cap+1)-dimensional generator densely
+        grid = ModeGrid([(0, 0, 0.3), (0.2, 0, 0.4)], [0.6, 0.35], gauge)
+        rng = np.random.default_rng(5)
+        shape = (grid.n_nodes, grid.channels_per_node)
+        f = 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        e = 0.9
+        amps = e * np.sqrt(grid.node_weights()) * grid.as_channel_array(f)
+        for cap in range(2, 17):
+            n = np.arange(cap)
+            expected = 1.0 + 0.0j
+            for a, s in zip(amps, grid.channel_signs()):
+                gen = np.zeros((cap + 1, cap + 1), dtype=complex)
+                gen[n, n + 1] = 1j * np.conj(a) * np.sqrt(n + 1.0)
+                gen[n + 1, n] = 1j * s * a * np.sqrt(n + 1.0)
+                expected *= scipy.linalg.expm(gen)[0, 0]
+            val = displacement_vacuum_channelwise(f, e, grid, cap,
+                                                  truncation_tol=np.inf)
+            assert abs(val - expected) <= 1e-13, cap
+
+    def test_deviation_is_channelwise_difference(self):
+        # at low caps the deviation is far above roundoff, so it must equal
+        # the float difference of the truncated product and the closed form
+        grid = ModeGrid([(0, 0, 0.3), (0.2, 0, 0.4)], [0.6, 0.35], "FGB")
+        f = 0.5 * (np.arange(8).reshape(2, 4) / 8.0 + 0.2 - 0.3j)
+        closed = np.exp(0.5 * grid.signed_product(f, f))
+        for cap in (2, 3, 4):
+            trunc = displacement_vacuum_channelwise(f, 1.0, grid, cap,
+                                                    truncation_tol=np.inf)
+            dev = displacement_truncation_deviation(f, 1.0, grid, cap)
+            assert dev == pytest.approx(abs(trunc - closed), rel=1e-9)
+
+
 class TestWeyl:
     def test_vacuum_expectation(self):
         grid = fgb_node(w=0.9)
@@ -310,6 +382,20 @@ class TestWeyl:
         np.testing.assert_allclose((a_f @ W - W @ a_f)[sub],
                                    (coeff * W)[sub], atol=1e-9)
 
+    @pytest.mark.parametrize("gauge,cap", [("FGB", 4), ("Coulomb", 10)])
+    def test_action_on_state_matches_dense(self, gauge, cap):
+        grid = ModeGrid([(0.0, 0.0, 0.5)], [0.9], gauge)
+        space = TruncatedFockSpace(grid, cap)
+        rng = np.random.default_rng(3)
+        shape = (1, grid.channels_per_node)
+        g, h = 0.3 * rng.normal(size=shape), 0.3 * rng.normal(size=shape)
+        W = weyl_operator(g, h, space)
+        v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        for state in (space.vacuum(), v / np.linalg.norm(v)):
+            np.testing.assert_allclose(
+                weyl_operator(g, h, space, on=state), W @ state,
+                rtol=0.0, atol=1e-12)
+
     def test_rejects_complex_arguments(self):
         space = TruncatedFockSpace(coulomb_node(), 3)
         with pytest.raises(ValueError):
@@ -330,6 +416,24 @@ class TestBch:
         devs = [bch_check(f, g, 1.0, TruncatedFockSpace(grid, cap))
                 for cap in (6, 10, 14)]
         assert devs[0] > devs[1] > devs[2]
+
+
+    @pytest.mark.parametrize("cap", [6, 10, 14])
+    def test_matches_dense_formula(self, cap):
+        space = TruncatedFockSpace(coulomb_node(w=0.7), cap)
+        f = np.array([[0.7, -0.4 + 0.3j]])
+        g = np.array([[0.5j, 0.6]])
+        e = 1.0
+        A = (1j * e * space.creation_operator(f)).toarray()
+        B = (1j * e * space.annihilation_operator(g)).toarray()
+        comm = -e ** 2 * space.grid.signed_product(g, f)
+        lhs = scipy.linalg.expm(A + B)
+        rhs = (scipy.linalg.expm(A) @ scipy.linalg.expm(B)
+               * np.exp(-0.5 * comm))
+        mask = np.all(space.occupations <= 4, axis=1)
+        dense = float(np.abs(lhs - rhs)[np.ix_(mask, mask)].max())
+        assert bch_check(f, g, e, space) == pytest.approx(
+            dense, rel=1e-6, abs=1e-14)
 
 
 class TestEmissionMatrixElement:

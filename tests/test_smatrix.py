@@ -360,6 +360,13 @@ class TestGaugeCompare:
                                 CutoffWindow(lam=0.2, Lam=0.8))
         assert report2.log_ratio == pytest.approx(1.5, abs=1e-8)
 
+    def test_small_charge_is_not_degenerate(self):
+        # both exponents scale with charge^2 (here ~1e-16); the ratio does not
+        report = gauge_compare(dipole_kin(charge=1e-6), RHO, WINDOW)
+        assert abs(report.m_coulomb) < 1e-13
+        assert not report.degenerate
+        assert report.log_ratio == pytest.approx(1.5, abs=1e-8)
+
     def test_degenerate_flag(self):
         kin = bn_kin(u_in=(0.0, 0.0, 0.3), u_out=(0.0, 0.0, 0.3))
         report = gauge_compare(kin, RHO, WINDOW)
