@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,9 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
                          lambda_sweep=sweep)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -286,12 +289,66 @@ def cmd_corrections(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2:
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(float(v[0]), float(v[1]))
     raise ConfigError(f"complex entries are numbers or [re, im], got {v!r}")
+
+
+# fields each photon entry kind takes, besides "type"
+_PHOTON_FIELDS = {
+    "grid": ("values",),
+    "pure_gauge": ("h",),
+    "bump": ("center", "width", "components"),
+}
+
+
+def _parse_photon(entry, grid: ModeGrid, gauge: str, width: int):
+    """One photon entry -> PhotonSmearing or a callable bump profile."""
+    _require(isinstance(entry, dict) and entry.get("type") in _PHOTON_FIELDS,
+             f"unknown photon entry {entry!r}")
+    kind = entry["type"]
+    names = _PHOTON_FIELDS[kind]
+    _check_keys(entry, ("type", *names), f"{kind} photon")
+    missing = [name for name in names if name not in entry]
+    _require(not missing, f"{kind} photon missing field(s) "
+                          f"{', '.join(repr(name) for name in missing)}")
+    if kind == "grid":
+        vals = entry["values"]
+        _require(isinstance(vals, list) and len(vals) == grid.n_nodes,
+                 f"grid photon needs {grid.n_nodes} node rows")
+        _require(all(isinstance(row, list) and len(row) == width
+                     for row in vals),
+                 f"grid photon rows need {width} components")
+        arr = np.array([[_parse_complex(v) for v in row] for row in vals])
+        return PhotonSmearing(grid, arr)
+    if kind == "pure_gauge":
+        _require(gauge == "FGB", "pure-gauge photons require the FGB gauge")
+        h = entry["h"]
+        _require(isinstance(h, list) and len(h) == grid.n_nodes,
+                 f"pure_gauge needs {grid.n_nodes} scalars")
+        return PhotonSmearing.pure_gauge(
+            grid, np.array([_parse_complex(v) for v in h]))
+    center, sigma, comp = (entry[name] for name in names)
+    _require(_is_number(center) and _is_number(sigma),
+             "bump center and width must be numbers")
+    _require(isinstance(comp, list) and len(comp) == width,
+             f"bump components need {width} entries")
+    _require(sigma > 0.0, "bump width must be positive")
+    a = np.array([_parse_complex(v) for v in comp])
+    c, s = float(center), float(sigma)
+
+    def photon(k):
+        kn = np.linalg.norm(k)
+        return a * np.exp(-(((kn - c) / s) ** 2))
+
+    return photon
 
 
 def _parse_photons(path: str, cfg: RunConfig, gauge: str):
@@ -310,45 +367,16 @@ def _parse_photons(path: str, cfg: RunConfig, gauge: str):
     if isinstance(doc, list):
         entries, oracle = doc, False
     else:
+        _require(isinstance(doc, dict),
+                 "photon spec must be a list of photons or a JSON object")
+        _check_keys(doc, ("photons", "oracle"), "photon spec")
         entries = doc.get("photons", [])
-        oracle = bool(doc.get("oracle", False))
+        oracle = doc.get("oracle", False)
+        _require(isinstance(entries, list), "'photons' must be a JSON list")
+        _require(isinstance(oracle, bool), "'oracle' must be true or false")
     width = 4 if gauge == "FGB" else 3
     grid = ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
-    photons = []
-    for entry in entries:
-        kind = entry.get("type") if isinstance(entry, dict) else None
-        if kind == "grid":
-            vals = entry["values"]
-            _require(isinstance(vals, list) and len(vals) == grid.n_nodes,
-                     f"grid photon needs {grid.n_nodes} node rows")
-            arr = np.array([[_parse_complex(v) for v in row]
-                            for row in vals])
-            _require(arr.shape == (grid.n_nodes, width),
-                     f"grid photon rows need {width} components")
-            photons.append(PhotonSmearing(grid, arr))
-        elif kind == "pure_gauge":
-            _require(gauge == "FGB",
-                     "pure-gauge photons require the FGB gauge")
-            h = [_parse_complex(v) for v in entry["h"]]
-            _require(len(h) == grid.n_nodes,
-                     f"pure_gauge needs {grid.n_nodes} scalars")
-            photons.append(PhotonSmearing.pure_gauge(grid, np.array(h)))
-        elif kind == "bump":
-            center = float(entry["center"])
-            sigma = float(entry["width"])
-            comp = np.array([_parse_complex(v)
-                             for v in entry["components"]])
-            _require(comp.shape == (width,),
-                     f"bump components need {width} entries")
-            _require(sigma > 0.0, "bump width must be positive")
-
-            def photon(k, c=center, s=sigma, a=comp):
-                kn = np.linalg.norm(k)
-                return a * np.exp(-(((kn - c) / s) ** 2))
-
-            photons.append(photon)
-        else:
-            raise ConfigError(f"unknown photon entry {entry!r}")
+    photons = [_parse_photon(entry, grid, gauge, width) for entry in entries]
     if oracle:
         _require(photons, "oracle mode needs at least one photon")
         _require(all(isinstance(p, PhotonSmearing) for p in photons),
@@ -521,7 +549,9 @@ def cmd_fock_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="softphoton",
         description="soft-photon radiative corrections in two gauges")
@@ -535,7 +565,11 @@ def main(argv=None) -> int:
         p.add_argument("--Lambda", dest="Lam", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, lam=args.lam, Lam=args.Lam,
                           seed=args.seed, out=args.out)
@@ -553,7 +587,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FockTruncationError, RuntimeError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+            OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

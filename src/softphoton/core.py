@@ -186,18 +186,21 @@ class ScatteringKinematics:
         if self.model == "BN":
             if self.u_in is None or self.u_out is None:
                 raise ValueError("BN kinematics needs u_in and u_out")
+            legs = (self.u_in, self.u_out)
         elif self.model == "dipole":
             if self.p_in is None or self.p_out is None or self.mass is None:
                 raise ValueError("dipole kinematics needs p_in, p_out, mass")
             # validates |p| < m on both legs
-            velocity_from_momentum(self.p_in, self.mass)
-            velocity_from_momentum(self.p_out, self.mass)
+            legs = (velocity_from_momentum(self.p_in, self.mass),
+                    velocity_from_momentum(self.p_out, self.mass))
             object.__setattr__(self, "p_in", tuple(float(x) for x in self.p_in))
             object.__setattr__(self, "p_out", tuple(float(x) for x in self.p_out))
         else:
             raise ValueError("model must be 'BN' or 'dipole'")
         if not np.isfinite(self.charge):
             raise ValueError("charge must be finite")
+        # leg velocities are fixed by the fields: built and validated once
+        object.__setattr__(self, "_legs", dict(zip(("in", "out"), legs)))
 
     @classmethod
     def bn(cls, u_in, u_out, charge: float) -> "ScatteringKinematics":
@@ -221,14 +224,11 @@ class ScatteringKinematics:
         """Leg velocity: u for BN, vtilde = (1, p/m) for the dipole."""
         if leg not in ("in", "out"):
             raise ValueError("leg must be 'in' or 'out'")
-        if self.model == "BN":
-            return self.u_in if leg == "in" else self.u_out
-        p = self.p_in if leg == "in" else self.p_out
-        return velocity_from_momentum(p, self.mass)
+        return self._legs[leg]
 
     @property
     def degenerate(self) -> bool:
-        return self.velocity("in").spatial_t == self.velocity("out").spatial_t
+        return self._legs["in"].spatial_t == self._legs["out"].spatial_t
 
     def replace(self, **kw) -> "ScatteringKinematics":
         return dataclasses.replace(self, **kw)

@@ -22,7 +22,8 @@ from .core import (
     on_shell_dot,
     transverse_projector,
 )
-from .quadrature import RadialAngularRule, _gl, integrate_radial
+from .quadrature import (QuadratureError, RadialAngularRule, _gl,
+                         integrate_radial)
 
 __all__ = [
     "CurrentSpec",
@@ -291,6 +292,6 @@ def phase_exponent_d(u: FourVelocity, t: float, eps: float, rho: FormFactor,
         if abs(cur - prev) <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
             return cur
         if n_c > rule.max_angular_order:
-            raise RuntimeError("angular part of the phase integral did not "
-                               "converge")
+            raise QuadratureError("angular part of the phase integral did "
+                                  "not converge")
         prev = cur

@@ -1,11 +1,37 @@
-"""Radiative-correction exponents and the quadrature engine behind them.
+"""Radiative-correction exponents: closed forms first, quadrature as oracle.
 
 Every epsilon = 0 exponent integral in both models factorizes exactly into a
-radial moment of the squared form factor times an angular kernel, so the
-module is built around two primitives: an adaptive Gauss-Legendre panel
-integrator on [lam, Lam] and a doubling Gauss-Legendre x trapezoid rule on
-the unit sphere.  Regularized integrands (adiabatic epsilon > 0) do not
-factorize and go through the full radial x angular product.
+radial moment of the squared form factor times an angular integral, and both
+factors are elementary (the classical soft factors of Bloch & Nordsieck 1937
+and S. Weinberg, Phys. Rev. 140, B516 (1965)):
+
+* radial moments R_p = Int rho~^2 k^p dk for p = -1, 0: a log or a length
+  (sharp), exponential integral E1 and erf (gaussian), per-segment log
+  moments of a linear profile (tabulated);
+* angular integrals, with x = 1 - a.b, s^2 = |a-b|^2 - |a x b|^2,
+  S(a) = 4 pi atanh|a| / |a| and I(a, b) = (2 pi / s) ln((x+s)/(x-s)):
+
+  ================  ============================  ===========================
+  legs, gauge       self (leg v)                  cross (legs a, b)
+  ================  ============================  ===========================
+  BN, FGB           -4 pi                         -x I
+  BN, Coulomb       8 pi (atanh|v| - |v|) / |v|   -x I + S(a) + S(b) - 4 pi
+  dipole, FGB       -4 pi (1 - v^2)               -4 pi (1 - a.b)
+  dipole, Coulomb   (8 pi / 3) v^2                (8 pi / 3) a.b
+  ================  ============================  ===========================
+
+  The BN Coulomb cross term is the partial-fraction split of its kernel,
+  not a consequence of gauge equality, so comparing the two gauges stays a
+  real check.  Slow, near-collinear and near-luminal legs go through the
+  excess atanh(t)/t - 1 (series below t^2 = 0.1, logs of the exactly known
+  complement 1 - t^2 above), which keeps their digits.
+
+The adaptive Gauss-Legendre panel rule on [lam, Lam] (``integrate_radial``)
+and the doubling Gauss-Legendre x trapezoid rule on the unit sphere
+(``integrate_sphere``) remain for what has no closed form: continuum emission
+factors, the radial part of the regularized (adiabatic epsilon > 0)
+exponents and other radial powers.  The test suite uses them as the
+independent oracle for every closed form here.
 
 Conventions: w-measure shorthand Int w = Int d3k / ((2 pi)^3 2|k|), omega =
 u.k on the photon shell, a_r(khat) = 1 - uvec_r . khat.
@@ -13,6 +39,7 @@ u.k on the photon shell, a_r(khat) = 1 - uvec_r . khat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +62,9 @@ __all__ = [
     "unren_halfline_exponent",
     "counterterm_phase",
 ]
+
+_FOUR_PI = 4.0 * math.pi
+_EULER_GAMMA = 0.5772156649015329
 
 
 class QuadratureError(RuntimeError):
@@ -113,12 +143,126 @@ def integrate_radial(fn, a: float, b: float, rule: RadialAngularRule | None = No
         panels[worst:worst + 1] = new
 
 
+# ---------------------------------------------------------------------------
+# closed-form radial moments
+
+
+def _e1_entire(x: float) -> float:
+    """E1(x) + ln(x) for 0 <= x <= 1, from its alternating power series."""
+    term, acc, n = 1.0, 0.0, 0
+    while True:
+        n += 1
+        term *= -x / n
+        add = term / n
+        acc += add
+        if abs(add) <= 1e-17:  # absolute: it is combined with O(1) logs
+            return -_EULER_GAMMA - acc
+
+
+def _e1_large(x: float) -> float:
+    """E1(x) for x > 1, continued fraction (modified Lentz)."""
+    b = x + 1.0
+    c = 1e300
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -float(i * i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 1e-16:
+            break
+    return h * math.exp(-x)
+
+
+def _gaussian_moment(sigma: float, lam: float, Lam: float, power: int) -> float:
+    """Int_lam^Lam exp(-k^2 / sigma^2) k^power dk for power -1 or 0."""
+    a, b = lam / sigma, Lam / sigma
+    if power == 0:
+        if a > 1.0:  # both tails: erfc keeps the digits erf rounds away
+            diff = math.erfc(a) - math.erfc(b)
+        else:
+            diff = math.erf(b) - math.erf(a)
+        return 0.5 * sigma * math.sqrt(math.pi) * diff
+    # k = sigma sqrt(y): (1/2) Int_{a^2}^{b^2} e^-y / y dy
+    A, B = a * a, b * b
+    if A > 1.0:
+        return 0.5 * (_e1_large(A) - _e1_large(B))
+    if B > 1.0:
+        return 0.5 * (_e1_entire(A) - math.log(A) - _e1_large(B))
+    # both logs folded into one, so narrow windows keep their digits
+    return (0.5 * (_e1_entire(A) - _e1_entire(B))
+            + math.log1p((Lam - lam) / lam))
+
+
+def _log_weights(delta: float) -> tuple:
+    """Int_0^1 w(t) delta / (1 + delta t) dt for w = (1-t)^2, t(1-t), t^2.
+
+    The 1/k moments of a linear profile on [lo, lo (1 + delta)] in its
+    endpoint basis.  Short segments use the series, long ones the logs.
+    """
+    if delta < 0.25:
+        ka = kb = kc = 0.0
+        term, j = delta, 0
+        while abs(term) > 1e-17 * delta:
+            ka += term * 2.0 / ((j + 1) * (j + 2) * (j + 3))
+            kb += term / ((j + 2) * (j + 3))
+            kc += term / (j + 3)
+            term *= -delta
+            j += 1
+        return ka, kb, kc
+    L = math.log1p(delta)
+    g1 = (delta - L) / delta
+    g2 = (0.5 * delta * delta - delta + L) / (delta * delta)
+    return L - 2.0 * g1 + g2, g1 - g2, g2
+
+
+def _tabulated_moment(ks, vs, lam: float, Lam: float, power: int) -> float:
+    """Sum of the exact moments of each linear segment clipped to the window."""
+    total = 0.0
+    for k0, k1, v0, v1 in zip(ks[:-1], ks[1:], vs[:-1], vs[1:]):
+        lo, hi = max(lam, k0), min(Lam, k1)
+        if not hi > lo:
+            continue
+        slope = (v1 - v0) / (k1 - k0)
+        p, q = v0 + slope * (lo - k0), v0 + slope * (hi - k0)
+        if power == 0:
+            total += (hi - lo) * (p * p + p * q + q * q) / 3.0
+        else:
+            ka, kb, kc = _log_weights((hi - lo) / lo)
+            total += p * p * ka + 2.0 * p * q * kb + q * q * kc
+    return total
+
+
+def _closed_moment(rho: FormFactor, lam: float, Lam: float, power: int) -> float:
+    if rho.kind == "sharp":
+        lo, hi = max(lam, rho.lam), min(Lam, rho.Lam)
+        if not hi > lo:
+            return 0.0
+        return math.log1p((hi - lo) / lo) if power == -1 else hi - lo
+    if rho.kind == "gaussian":
+        return _gaussian_moment(rho.sigma, lam, Lam, power)
+    return _tabulated_moment(rho.table_k, rho.table_v, lam, Lam, power)
+
+
 def radial_moment(rho: FormFactor, window: CutoffWindow, power: int,
                   rule: RadialAngularRule | None = None) -> float:
-    """Int_lam^Lam rho~(k)^2 k^power dk."""
-    val = integrate_radial(lambda k: rho(k) ** 2 * k ** float(power),
-                           window.lam, window.Lam, rule, breaks=rho.knots())
-    return float(np.real(val))
+    """Int_lam^Lam rho~(k)^2 k^power dk; closed form for power -1 and 0.
+
+    Other powers go through ``integrate_radial``.  A moment that is not
+    finite (an overflowing table, say) raises QuadratureError.
+    """
+    if power in (-1, 0):
+        val = _closed_moment(rho, window.lam, window.Lam, power)
+    else:
+        val = float(np.real(integrate_radial(
+            lambda k: rho(k) ** 2 * k ** float(power),
+            window.lam, window.Lam, rule, breaks=rho.knots())))
+    if not math.isfinite(val):
+        raise QuadratureError(f"radial moment R_{power} is not finite")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +344,81 @@ def integrate_sphere(kernel, v_a, v_b, rule: RadialAngularRule | None = None,
 
 
 # ---------------------------------------------------------------------------
+# closed-form angular integrals
+
+# Both models reduce to the same kernels once a leg is expressed through a
+# velocity-like spatial vector v and the denominator factor a(khat), which is
+# 1 - v.khat for straight-line legs and exactly 1 for the dipole (whose
+# propagators carry plain 1/k0).  The functions return Int dOmega of the
+# kernel with its sign: negative for the invariant FGB bilinear, positive
+# for the transverse Coulomb one.
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _atanh_excess(t2: float, c2: float) -> float:
+    """atanh(t)/t - 1 for t = sqrt(t2) in [0, 1), with c2 = 1 - t2 given.
+
+    The series sum_n t2^n / (2n + 1) below t2 = 0.1, where the closed form
+    would lose the leading 1; above it atanh(t) = log1p(t) - ln(c2)/2, which
+    stays exact as t -> 1 as long as c2 is known to full precision.
+    """
+    if t2 < 0.1:
+        term, acc, n = t2, 0.0, 1
+        while True:
+            add = term / (2 * n + 1)
+            acc += add
+            if add <= 1e-17 * acc:
+                return acc
+            term *= t2
+            n += 1
+    t = math.sqrt(t2)
+    return (math.log1p(t) - 0.5 * math.log(c2)) / t - 1.0
+
+
+def _self_angular(v: FourVelocity, gauge: str, bn: bool) -> float:
+    b2 = _dot(v.spatial_t, v.spatial_t)
+    if gauge == "FGB":
+        # u^2 / a^2 integrates to 4 pi u^2 / (1 - beta^2) = 4 pi on BN legs
+        return -_FOUR_PI if bn else -_FOUR_PI * (1.0 - b2)
+    if bn:
+        # (beta^2 - (v.khat)^2) / a^2 -> 8 pi (atanh(beta) - beta) / beta
+        return 2.0 * _FOUR_PI * _atanh_excess(b2, 1.0 - b2)
+    return _FOUR_PI * (2.0 / 3.0) * b2
+
+
+def _cross_angular(va: FourVelocity, vb: FourVelocity, gauge: str,
+                   bn: bool) -> float:
+    a, b = va.spatial_t, vb.spatial_t
+    if not bn:
+        ab = _dot(a, b)
+        return (-_FOUR_PI * (1.0 - ab) if gauge == "FGB"
+                else _FOUR_PI * (2.0 / 3.0) * ab)
+    a2, b2 = _dot(a, a), _dot(b, b)
+    ua2, ub2 = 1.0 - a2, 1.0 - b2
+    d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    d2 = _dot(d, d)
+    # x = 1 - a.b and s^2 = x^2 - ua2 ub2, both as sums of non-negative terms
+    x = 0.5 * (ua2 + ub2 + d2)
+    s2 = 0.5 * ((ua2 + ub2) * d2 + _dot(a, d) ** 2 + _dot(b, d) ** 2)
+    # x I = 4 pi atanh(t)/t with t = s/x and 1 - t^2 = ua2 ub2 / x^2
+    excess = _atanh_excess(s2 / (x * x), ua2 * ub2 / (x * x))
+    if gauge == "FGB":
+        return -_FOUR_PI * (1.0 + excess)
+    # partial fractions: -x I + S(a) + S(b) - 4 pi, each S(v) = 4 pi (1 + excess)
+    return _FOUR_PI * (_atanh_excess(a2, ua2) + _atanh_excess(b2, ub2)
+                       - excess)
+
+
+def _infrared_pref(rho: FormFactor, window: CutoffWindow,
+                   rule: RadialAngularRule | None) -> float:
+    # Int w rho~^2 / k^2 = R_{-1} / ((2 pi)^3 2) per unit solid angle
+    return radial_moment(rho, window, -1, rule) / (16.0 * np.pi ** 3)
+
+
+# ---------------------------------------------------------------------------
 # counterterms
 
 
@@ -217,14 +436,13 @@ def counterterm_z_tilde(rho: FormFactor, window: CutoffWindow,
 
 def counterterm_z1(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
                    rule: RadialAngularRule | None = None) -> float:
-    """z1(u) = (1/3) Int d3k rho~^2 / ((2 pi)^3 k (u.k)); -> z as uvec -> 0."""
+    """z1(u) = (1/3) Int d3k rho~^2 / ((2 pi)^3 k (u.k)); -> z as uvec -> 0.
+
+    The angular integral Int dOmega / (1 - uvec.khat) is S(u) above.
+    """
     r0 = radial_moment(rho, window, 0, rule)
-    uv = u.spatial
-
-    def kern(khat):
-        return 1.0 / (1.0 - khat @ uv)
-
-    ang = integrate_sphere(kern, uv, np.zeros(3), rule)
+    b2 = _dot(u.spatial_t, u.spatial_t)
+    ang = _FOUR_PI * (1.0 + _atanh_excess(b2, 1.0 - b2))
     return r0 * ang / (3.0 * (2.0 * np.pi) ** 3)
 
 
@@ -235,59 +453,7 @@ def counterterm_z2(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
 
 
 # ---------------------------------------------------------------------------
-# infrared exponents, shared kernel machinery
-
-# Both models reduce to the same four angular kernels once the leg data is
-# expressed through a velocity-like spatial vector v and the denominator
-# factor a(khat), which is 1 - v.khat for straight-line legs and exactly 1
-# for the dipole (whose propagators carry plain 1/k0).
-
-
-def _self_kernel(v: np.ndarray, minkowski_sq: float, gauge: str, bn_denoms: bool):
-    if gauge == "FGB":
-        def kern(khat):
-            a = (1.0 - khat @ v) if bn_denoms else np.ones(len(khat))
-            return minkowski_sq / a ** 2
-        sign = -1.0
-    else:
-        def kern(khat):
-            dot = khat @ v
-            a = (1.0 - dot) if bn_denoms else np.ones(len(khat))
-            trans_sq = v @ v - dot ** 2
-            return trans_sq / a ** 2
-        sign = +1.0
-    return kern, sign
-
-
-def _cross_kernel(va: np.ndarray, vb: np.ndarray, minkowski_ab: float,
-                  gauge: str, bn_denoms: bool):
-    if gauge == "FGB":
-        def kern(khat):
-            if bn_denoms:
-                aa = 1.0 - khat @ va
-                ab = 1.0 - khat @ vb
-            else:
-                aa = ab = np.ones(len(khat))
-            return minkowski_ab / (aa * ab)
-        sign = -1.0
-    else:
-        def kern(khat):
-            da = khat @ va
-            db = khat @ vb
-            if bn_denoms:
-                aa, ab = 1.0 - da, 1.0 - db
-            else:
-                aa = ab = np.ones(len(khat))
-            return (va @ vb - da * db) / (aa * ab)
-        sign = +1.0
-    return kern, sign
-
-
-def _leg_data(kin: ScatteringKinematics):
-    """(v_out, v_in, bn_denoms) with v the kernel velocity of each leg."""
-    if kin.model == "BN":
-        return kin.u_out, kin.u_in, True
-    return kin.velocity("out"), kin.velocity("in"), False
+# infrared exponents
 
 
 def b_ir(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
@@ -295,11 +461,9 @@ def b_ir(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
     """Self-energy exponent B(u) = -u^2 Int w rho~^2 / (u.k)^2.
 
     Strictly negative; independent of u for straight-line legs because
-    u^2 = 1 - beta^2 cancels the angular weight.
+    u^2 = 1 - beta^2 cancels the angular weight: B = -4 pi R_{-1} / (16 pi^3).
     """
-    pref = radial_moment(rho, window, -1, rule) / (16.0 * np.pi ** 3)
-    kern, sign = _self_kernel(u.spatial, u.squared, "FGB", True)
-    return sign * pref * integrate_sphere(kern, u.spatial, np.zeros(3), rule)
+    return _infrared_pref(rho, window, rule) * _self_angular(u, "FGB", True)
 
 
 def gamma_cross(u_a: FourVelocity, u_b: FourVelocity, rho: FormFactor,
@@ -309,10 +473,8 @@ def gamma_cross(u_a: FourVelocity, u_b: FourVelocity, rho: FormFactor,
 
     Symmetric in its arguments; Gamma(u, u) = b_ir(u).
     """
-    pref = radial_moment(rho, window, -1, rule) / (16.0 * np.pi ** 3)
-    mink = 1.0 - float(u_a.spatial @ u_b.spatial)
-    kern, sign = _cross_kernel(u_a.spatial, u_b.spatial, mink, "FGB", True)
-    return sign * pref * integrate_sphere(kern, u_a.spatial, u_b.spatial, rule)
+    return (_infrared_pref(rho, window, rule)
+            * _cross_angular(u_a, u_b, "FGB", True))
 
 
 @dataclass(frozen=True)
@@ -356,23 +518,15 @@ def m_exponent(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
     """
     if gauge not in ("FGB", "Coulomb"):
         raise ValueError("gauge must be 'FGB' or 'Coulomb'")
-    rule = rule or _DEFAULT_RULE
-    v_out, v_in, bn = _leg_data(kin)
-    pref = radial_moment(rho, window, -1, rule) / (16.0 * np.pi ** 3)
-
-    def self_term(v: FourVelocity) -> float:
-        kern, sign = _self_kernel(v.spatial, v.squared, gauge, bn)
-        return sign * pref * integrate_sphere(kern, v.spatial, np.zeros(3), rule)
-
-    def cross_term(va: FourVelocity, vb: FourVelocity) -> float:
-        mink = 1.0 - float(va.spatial @ vb.spatial)
-        kern, sign = _cross_kernel(va.spatial, vb.spatial, mink, gauge, bn)
-        return sign * pref * integrate_sphere(kern, va.spatial, vb.spatial, rule)
-
-    b_out = self_term(v_out)
-    b_in = self_term(v_in)
-    gamma = cross_term(v_out, v_in)
+    v_out, v_in = kin.velocity("out"), kin.velocity("in")
+    bn = kin.model == "BN"
+    pref = _infrared_pref(rho, window, rule)
+    b_out = pref * _self_angular(v_out, gauge, bn)
+    b_in = pref * _self_angular(v_in, gauge, bn)
+    gamma = pref * _cross_angular(v_out, v_in, gauge, bn)
     total = kin.charge ** 2 * (gamma - 0.5 * (b_in + b_out))
+    if not math.isfinite(total):
+        raise QuadratureError(f"{gauge} exponent is not finite")
     return CorrectionExponent(
         total=complex(total),
         gamma_cross=gamma,
@@ -400,42 +554,27 @@ def unren_halfline_exponent(u: FourVelocity, eps: float, rho: FormFactor,
         E(eps) = (charge^2 u^2 / 2) Int w rho~^2 / (eps (eps - i u.k)).
 
     Re E -> -charge^2 b_ir/2 as eps -> 0 (even in eps); Im E carries the
-    z2/eps divergence cancelled by ``counterterm_phase``.
+    z2/eps divergence cancelled by ``counterterm_phase``.  The cos(theta)
+    integral is exact, Int_-1^1 dc / (A + B c) = (2/B) atanh(B/A) with
+    A = eps - i k and B = i k beta; Re(A +- B) = eps > 0 keeps the path off
+    the branch cut.  Only the radial part is numerical.
     """
     if not eps > 0.0:
         raise ValueError("adiabatic eps must be > 0")
-    rule = rule or _DEFAULT_RULE
     beta = u.beta
     pref = charge ** 2 * u.squared / (2.0 * eps) / (4.0 * np.pi ** 2)
 
-    def value(n_c: int) -> complex:
+    def radial(k):
+        a = eps - 1j * k
         if beta == 0.0:
-            def radial(k):
-                return rho(k) ** 2 * k / (eps - 1j * k)
+            half_angle = 1.0 / a
         else:
-            c, wc = _gl(n_c)
+            z = 1j * beta * k / a
+            half_angle = np.arctanh(z) / (z * a)
+        return rho(k) ** 2 * k * half_angle
 
-            def radial(k):
-                omega = np.multiply.outer(k, 1.0 - beta * c)
-                inner = np.sum(wc / (eps - 1j * omega), axis=1)
-                return rho(k) ** 2 * (k / 2.0) * inner
-        return pref * integrate_radial(radial, window.lam, window.Lam, rule,
-                                       breaks=rho.knots())
-
-    if beta == 0.0:
-        # cos(theta) integral is exact, only the radial part is numerical
-        return complex(value(1))
-    n_c = max(rule.angular_order, 32)
-    prev = value(n_c)
-    while True:
-        n_c *= 2
-        cur = value(n_c)
-        if abs(cur - prev) <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
-            return complex(cur)
-        if n_c > rule.max_angular_order:
-            raise QuadratureError("angular part of the regularized exponent "
-                                  "did not converge")
-        prev = cur
+    return complex(pref * integrate_radial(radial, window.lam, window.Lam,
+                                           rule, breaks=rho.knots()))
 
 
 def counterterm_phase(u: FourVelocity, eps: float, rho: FormFactor,

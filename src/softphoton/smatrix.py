@@ -23,7 +23,7 @@ from .core import (
     on_shell_dot,
     transverse_projector,
 )
-from .currents import CurrentSpec, current_on_shell
+from .currents import _NORM, CurrentSpec, current_on_shell
 from .fock import ModeGrid, TruncatedFockSpace, emission_matrix_element
 from .gauge import PhotonSmearing, polarization_components
 from .quadrature import (
@@ -52,8 +52,6 @@ __all__ = [
     "RenormalizationLedger",
     "renormalization_ledger",
 ]
-
-_NORM = (2.0 * np.pi) ** 1.5
 
 
 def displacement_profile(kin: ScatteringKinematics, gauge: str,

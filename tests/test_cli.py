@@ -124,6 +124,17 @@ class TestConfigErrors:
         cfg, _ = write_config(tmp_path, kinematics={"charge": 0.3})
         assert main(["corrections", str(cfg)]) == 2
 
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, window={"lambda": 0.1})
+        assert main(["corrections", str(cfg)]) == 2
+        assert "missing field 'Lambda'" in capsys.readouterr().err
+
+    def test_overflowing_charge_exit3(self, tmp_path, capsys):
+        kin = dict(BASE["kinematics"], charge=1e200)
+        cfg, _ = write_config(tmp_path, kinematics=kin)
+        assert main(["corrections", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -222,6 +233,14 @@ class TestDeterminism:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, softphoton.cli; "
              "assert 'mpmath' not in sys.modules"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        # the gaussian radial moments use math.erf and a local E1
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, softphoton.cli; "
+             "assert 'scipy.special' not in sys.modules"],
+            capture_output=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self, tmp_path):
@@ -361,6 +380,54 @@ class TestEmission:
             tmp_path, [{"type": "pure_gauge", "h": [1.0]}])
         assert main(["emission", str(cfg), str(photons)]) == 2
 
+    GRID_FGB = [[1.0, 0.0, [0.0, 0.5], 0.2]]
+    BUMP = {"type": "bump", "center": 0.5, "width": 0.1,
+            "components": [0, 1, 0, 0]}
+
+    @pytest.mark.parametrize("payload, needle", [
+        ({"photon": [{"type": "grid", "values": GRID_FGB}]},
+         "key(s): photon"),
+        ({"photons": [], "extra": 1}, "key(s): extra"),
+        ([{"type": "grid", "values": GRID_FGB, "weight": 2}],
+         "key(s): weight"),
+        ([dict(BUMP, colour="red")], "key(s): colour"),
+        ({"photons": [{"type": "grid", "values": GRID_FGB}],
+          "oracle": "no"}, "oracle"),
+        ({"photons": [{"type": "grid", "values": GRID_FGB}],
+          "oracle": 1}, "oracle"),
+        ([{"type": "bump", "width": 0.1, "components": [0, 1, 0, 0]}],
+         "'center'"),
+        ([{"type": "grid"}], "'values'"),
+        ([{"type": "pure_gauge"}], "'h'"),
+        ([{k: v for k, v in BUMP.items() if k != "width"}], "'width'"),
+        ([{"type": "grid", "values": "abc"}], "node rows"),
+        ([{"type": "grid", "values": [1.0]}], "components"),
+        ([{"type": "grid", "values": [[1, 2, "x", 4]]}], "complex"),
+        ([{"type": "pure_gauge", "h": 1.0}], "scalars"),
+        ([dict(BUMP, center=[0.5])], "numbers"),
+        ([dict(BUMP, components={"re": 1})], "components"),
+        ([dict(BUMP, components=[0, [1, "i"], 0, 0])], "complex"),
+        ({"photons": {"type": "grid"}}, "list"),
+        (3.5, "photon spec"),
+        (["grid"], "unknown photon entry"),
+    ])
+    def test_malformed_spec_exit2(self, tmp_path, capsys, payload, needle):
+        cfg, out = write_config(tmp_path, gauge="FGB")
+        photons = self.write_photons(tmp_path, payload)
+        assert main(["emission", str(cfg), str(photons)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and needle in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_oracle_false_is_plain_run(self, tmp_path):
+        cfg, out = write_config(tmp_path, gauge="FGB")
+        photons = self.write_photons(
+            tmp_path, {"photons": [{"type": "grid", "values": self.GRID_FGB}],
+                       "oracle": False})
+        assert main(["emission", str(cfg), str(photons)]) == 0
+        doc = json.loads(open(out).read())
+        assert "oracle" not in doc and len(doc["emission_factors"]) == 1
+
 
 class TestFockVerify:
     def test_default_suite_passes(self, tmp_path):
@@ -409,3 +476,45 @@ class TestFockVerify:
         assert lines[0] == "check,deviation,tolerance,passed"
         assert any(line.startswith("displacement_cap_2,")
                    for line in lines[1:])
+
+
+class TestParser:
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        # one parser serves every call: flags of one call must not leak
+        cfg, out = write_config(tmp_path, lambda_sweep=[0.2, 0.4])
+        moved = tmp_path / "moved.json"
+        assert main(["corrections", str(cfg), "--lambda", "0.2",
+                     "--out", str(moved)]) == 0
+        assert json.loads(moved.read_text())["window"]["lambda"] == 0.2
+        sweep = tmp_path / "sweep.json"
+        assert main(["gauge-check", str(cfg), "--seed", "3",
+                     "--out", str(sweep)]) == 0
+        assert len(json.loads(sweep.read_text())["sweep"]) == 2
+        assert main(["corrections", str(cfg)]) == 0
+        assert json.loads(open(out).read())["window"]["lambda"] == 0.1
+        photons = tmp_path / "photons.json"
+        photons.write_text("[]", encoding="utf-8")
+        assert main(["emission", str(cfg), str(photons), "--Lambda",
+                     "0.9"]) == 0
+        assert json.loads(open(out).read())["window"] == {"lambda": 0.1,
+                                                          "Lambda": 0.9}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["corrections"], ["emission", "c.json"],
+        ["corrections", "c.json", "--lambda", "x"], ["--help"],
+        ["gauge-check", "--help"],
+    ])
+    def test_usage_and_exit_code_unchanged(self, capsys, argv):
+        # same text and exit status from the shared parser as from a fresh
+        # one, and from a second call as from the first
+        from softphoton import cli
+        texts = []
+        for fresh in (True, False, False):
+            if fresh:
+                cli._parser.cache_clear()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            texts.append((exc.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0][0] == (0 if "--help" in argv else 2)
+        assert "usage: softphoton" in (texts[0][1].out + texts[0][1].err)

@@ -85,6 +85,19 @@ class TestKinematics:
         v = kin.velocity("out")
         assert np.allclose(v.spatial, [0, 0, 0.1])
 
+    def test_leg_velocities_built_once(self):
+        kin = ScatteringKinematics.dipole((0, 0.2, 0), (0, 0, 0.1), 2.0, 0.3)
+        assert kin.velocity("in") is kin.velocity("in")
+        assert kin.velocity("in").spatial_t == (0.0, 0.1, 0.0)
+        assert kin.velocity("out").spatial_t == (0.0, 0.0, 0.05)
+        moved = kin.replace(p_out=(0.0, 0.2, 0.0))
+        assert moved.velocity("out").spatial_t == (0.0, 0.1, 0.0)
+        assert moved.degenerate and not kin.degenerate
+        assert moved == ScatteringKinematics.dipole((0, 0.2, 0), (0, 0.2, 0),
+                                                    2.0, 0.3)
+        with pytest.raises(ValueError):
+            kin.velocity("sideways")
+
     def test_dipole_rejects_fast_leg(self):
         with pytest.raises(ValueError):
             ScatteringKinematics.dipole((0, 0, 0), (0, 0, 1.5), 1.0, 0.3)

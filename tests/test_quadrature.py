@@ -379,3 +379,263 @@ class TestEngine:
         a = m_exponent(kin, "Coulomb", GAUSS, WIN).total
         b = m_exponent(kin, "Coulomb", GAUSS, WIN).total
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the quadrature oracle
+#
+# The kernels below are the integrands the closed forms integrate: the
+# velocity-like vector v of each leg, its denominator factor a(khat) =
+# 1 - v.khat for straight-line legs and 1 for the dipole.  integrate_sphere
+# and integrate_radial integrate them independently of the closed forms.
+
+TABLE = FormFactor.tabulated([0.0, 0.12, 0.13, 0.5, 1.2],
+                             [0.3, 1.0, 0.2, 0.9, 0.1])
+RHOS = {"sharp": FormFactor.sharp(0.05, 0.7), "gauss": GAUSS, "table": TABLE}
+
+
+def _self_kernel(v, minkowski_sq, gauge, bn_denoms):
+    if gauge == "FGB":
+        def kern(khat):
+            a = (1.0 - khat @ v) if bn_denoms else np.ones(len(khat))
+            return minkowski_sq / a ** 2
+        return kern, -1.0
+
+    def kern(khat):
+        dot = khat @ v
+        a = (1.0 - dot) if bn_denoms else np.ones(len(khat))
+        return (v @ v - dot ** 2) / a ** 2
+    return kern, +1.0
+
+
+def _cross_kernel(va, vb, minkowski_ab, gauge, bn_denoms):
+    def denoms(khat):
+        if bn_denoms:
+            return 1.0 - khat @ va, 1.0 - khat @ vb
+        ones = np.ones(len(khat))
+        return ones, ones
+
+    if gauge == "FGB":
+        def kern(khat):
+            aa, ab = denoms(khat)
+            return minkowski_ab / (aa * ab)
+        return kern, -1.0
+
+    def kern(khat):
+        aa, ab = denoms(khat)
+        return (va @ vb - (khat @ va) * (khat @ vb)) / (aa * ab)
+    return kern, +1.0
+
+
+def sphere_self(v, gauge, bn):
+    kern, sign = _self_kernel(v.spatial, v.squared, gauge, bn)
+    return sign * integrate_sphere(kern, v.spatial, np.zeros(3))
+
+
+def sphere_cross(va, vb, gauge, bn):
+    mink = 1.0 - float(va.spatial @ vb.spatial)
+    kern, sign = _cross_kernel(va.spatial, vb.spatial, mink, gauge, bn)
+    return sign * integrate_sphere(kern, va.spatial, vb.spatial)
+
+
+def quadrature_moment(rho, window, power):
+    return float(np.real(integrate_radial(
+        lambda k: rho(k) ** 2 * k ** float(power), window.lam, window.Lam,
+        breaks=rho.knots())))
+
+
+def _direction(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def _kinematics(model, v_in, v_out, charge=0.7):
+    if model == "BN":
+        return ScatteringKinematics.bn(v_in, v_out, charge)
+    # unit mass: the dipole leg velocity is the momentum itself
+    return ScatteringKinematics.dipole(v_in, v_out, 1.0, charge)
+
+
+_angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(["BN", "dipole"]),
+       gauge=st.sampled_from(["FGB", "Coulomb"]),
+       kind=st.sampled_from(sorted(RHOS)),
+       beta_in=st.floats(0.0, 0.9), beta_out=st.floats(0.0, 0.9),
+       ang_in=_angles, ang_out=_angles,
+       geometry=st.sampled_from(["free", "rest", "collinear", "equal"]))
+def test_closed_exponent_matches_quadrature(model, gauge, kind, beta_in,
+                                            beta_out, ang_in, ang_out,
+                                            geometry):
+    rho = RHOS[kind]
+    v_out = beta_out * _direction(*ang_out)
+    if geometry == "rest":
+        v_in = np.zeros(3)
+    elif geometry == "collinear":
+        v_in = beta_in * _direction(*ang_out)
+    elif geometry == "equal":
+        v_in = v_out.copy()
+    else:
+        v_in = beta_in * _direction(*ang_in)
+    kin = _kinematics(model, v_in, v_out)
+    exp = m_exponent(kin, gauge, rho, WIN)
+    pref = radial_moment(rho, WIN, -1) / (16.0 * np.pi ** 3)
+    pref_q = quadrature_moment(rho, WIN, -1) / (16.0 * np.pi ** 3)
+    assert abs(pref - pref_q) <= 1e-12 * pref_q
+    bn = model == "BN"
+    u_in, u_out = kin.velocity("in"), kin.velocity("out")
+    oracle = {"b_ir_in": pref_q * sphere_self(u_in, gauge, bn),
+              "b_ir_out": pref_q * sphere_self(u_out, gauge, bn),
+              "gamma_cross": pref_q * sphere_cross(u_out, u_in, gauge, bn)}
+    for name, want in oracle.items():
+        got = exp.breakdown()[name]
+        assert abs(got - want) <= max(1e-12 * abs(want), 1e-14 * pref), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(RHOS)), power=st.sampled_from([-1, 0]),
+       lam=st.floats(0.01, 2.0), width=st.floats(1e-3, 3.0))
+def test_closed_moment_matches_quadrature(kind, power, lam, width):
+    rho = RHOS[kind]
+    window = CutoffWindow(lam, lam + width)
+    got = radial_moment(rho, window, power)
+    want = quadrature_moment(rho, window, power)
+    # integrate_radial certifies 1e-14 absolute where 5e-13 relative is less
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-14)
+    assert got >= 0.0
+
+
+def test_closed_moments_exact_values():
+    # sharp: a log and a length; gaussian: E1 and erf; tabulated: the
+    # piecewise-linear profile's own antiderivative on one segment
+    from math import erf, exp, log, pi, sqrt
+    assert radial_moment(SHARP, WIN, -1) == pytest.approx(log(10.0), rel=1e-15)
+    assert radial_moment(SHARP, WIN, 0) == 0.9
+    win = CutoffWindow(0.2, 0.9)
+    assert radial_moment(FormFactor.sharp(0.5, 3.0), win, -1) == \
+        pytest.approx(log(0.9 / 0.5), rel=1e-15)
+    assert radial_moment(FormFactor.sharp(1.0, 3.0), win, 0) == 0.0
+    s = 0.4
+    assert radial_moment(GAUSS, WIN, 0) == pytest.approx(
+        0.5 * s * sqrt(pi) * (erf(1.0 / s) - erf(0.1 / s)), rel=1e-14)
+    # E1(x) = -gamma - ln x + x - x^2/4 + ..., far in the tail e^-x/x (...)
+    e1_small = (-0.5772156649015329 - log(1e-8) + 1e-8)
+    wide = CutoffWindow(1e-4, 40.0)
+    assert radial_moment(FormFactor.gaussian(1.0), wide, -1) == \
+        pytest.approx(0.5 * e1_small, rel=1e-14)
+    tail = CutoffWindow(6.0, 40.0)
+    x = 36.0
+    asym = exp(-x) / x * sum((-1) ** n * np.prod(range(1, n + 1)) / x ** n
+                             for n in range(12))
+    assert radial_moment(FormFactor.gaussian(1.0), tail, -1) == \
+        pytest.approx(0.5 * asym, rel=1e-12)
+    lin = FormFactor.tabulated([0.0, 2.0], [0.0, 2.0])  # rho = k
+    assert radial_moment(lin, WIN, -1) == pytest.approx(0.5 * (1.0 - 0.01),
+                                                        rel=1e-14)
+    assert radial_moment(lin, WIN, 0) == pytest.approx((1.0 - 1e-3) / 3.0,
+                                                       rel=1e-14)
+
+
+def test_short_table_segment_keeps_digits():
+    # a segment of relative length 1e-9 has 1/k moment width/lo (p^2+pq+q^2)/3
+    rho = FormFactor.tabulated([0.5, 0.5 + 5e-10], [1.0, 3.0])
+    got = radial_moment(rho, CutoffWindow(0.1, 1.0), -1)
+    assert got == pytest.approx(1e-9 * 13.0 / 3.0, rel=1e-8)
+
+
+_luminal = st.floats(0.0, 1.0 - 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(["BN", "dipole"]),
+       kind=st.sampled_from(sorted(RHOS)),
+       beta_in=_luminal, beta_out=_luminal, ang_in=_angles, ang_out=_angles)
+def test_closed_exponent_up_to_luminal(model, kind, beta_in, beta_out,
+                                       ang_in, ang_out):
+    rho = RHOS[kind]
+    kin = _kinematics(model, beta_in * _direction(*ang_in),
+                      beta_out * _direction(*ang_out))
+    pref = radial_moment(rho, WIN, -1) / (16.0 * np.pi ** 3)
+    exps = {g: m_exponent(kin, g, rho, WIN) for g in ("FGB", "Coulomb")}
+    for exp in exps.values():
+        parts = exp.breakdown().values()
+        assert all(np.isfinite(v) for v in (exp.total.real, *parts))
+    if model == "BN":
+        fgb = exps["FGB"]
+        assert fgb.b_ir_in == fgb.b_ir_out == -4.0 * np.pi * pref
+        assert fgb.total.real <= 0.0
+    for leg in ("in", "out"):
+        # a Coulomb self term is O(beta^2 pref): positive unless it underflows
+        if kin.velocity(leg).spatial @ kin.velocity(leg).spatial > 1e-250:
+            assert exps["Coulomb"].breakdown()[f"b_ir_{leg}"] > 0.0
+    # a total is charge^2 (gamma - (b_in + b_out)/2), a difference of its
+    # parts: its rounding is relative to the largest part, and it is <= 0 to
+    # that rounding (FGB on slow legs, Coulomb on near-luminal ones)
+    scale = kin.charge ** 2 * max(abs(v) for exp in exps.values()
+                                  for v in exp.breakdown().values())
+    for exp in exps.values():
+        assert exp.total.real <= 1e-15 * scale
+    if model == "BN":
+        mf, mc = exps["FGB"].total.real, exps["Coulomb"].total.real
+        assert abs(mf - mc) <= 1e-12 * max(abs(mf), scale)
+
+
+def test_luminal_leg_is_fast_and_finite():
+    # beta = 0.999 used to end in QuadratureError after tens of seconds
+    import time
+    kin = ScatteringKinematics.bn((0, 0, 0), (0.0, 0.0, 0.999), 1.0)
+    t0 = time.perf_counter()
+    mf = m_exponent(kin, "FGB", SHARP, WIN).total.real
+    mc = m_exponent(kin, "Coulomb", SHARP, WIN).total.real
+    assert time.perf_counter() - t0 < 0.05
+    L = np.log(1.999 / 0.001)
+    want = -np.log(10.0) / (4.0 * np.pi ** 2) * (L / (2.0 * 0.999) - 1.0)
+    assert mf == pytest.approx(want, rel=1e-13)
+    assert mc == pytest.approx(want, rel=1e-12)
+
+
+def test_non_finite_moment_raises():
+    huge = FormFactor.tabulated([0.1, 1.0], [1e300, 1e300])
+    for power in (-1, 0):
+        with pytest.raises(QuadratureError):
+            radial_moment(huge, WIN, power)
+    kin = ScatteringKinematics.bn((0, 0, 0), (0, 0, 0.5), charge=0.3)
+    with pytest.raises(QuadratureError):
+        m_exponent(kin, "FGB", huge, WIN)
+
+
+def _unren_product_rule(u, eps, rho, window, charge):
+    """Gauss-Legendre rule in cos(theta), doubled until it settles."""
+    beta = u.beta
+    pref = charge ** 2 * u.squared / (2.0 * eps) / (4.0 * np.pi ** 2)
+
+    def value(n_c):
+        c, wc = np.polynomial.legendre.leggauss(n_c)
+
+        def radial(k):
+            omega = np.multiply.outer(k, 1.0 - beta * c)
+            inner = np.sum(wc / (eps - 1j * omega), axis=1)
+            return rho(k) ** 2 * (k / 2.0) * inner
+        return pref * integrate_radial(radial, window.lam, window.Lam,
+                                       breaks=rho.knots())
+
+    n_c, prev = 32, value(32)
+    while True:
+        n_c *= 2
+        cur = value(n_c)
+        if abs(cur - prev) <= max(1e-14, 5e-13 * abs(cur)):
+            return cur
+        prev = cur
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(RHOS)), beta=st.floats(0.0, 0.95),
+       ang=_angles, eps=st.floats(1e-3, 0.3))
+def test_closed_ledger_angle_matches_product_rule(kind, beta, ang, eps):
+    rho = RHOS[kind]
+    u = FourVelocity(beta * _direction(*ang))
+    got = unren_halfline_exponent(u, eps, rho, WIN, charge=0.3)
+    want = _unren_product_rule(u, eps, rho, WIN, 0.3)
+    assert abs(got - want) <= 1e-12 * abs(want)
