@@ -28,12 +28,13 @@ import numpy as np
 
 from .core import CutoffWindow, FormFactor, ScatteringKinematics
 from .fock import (
-    MAX_DENSE_DIM,
     FockTruncationError,
     ModeGrid,
     TruncatedFockSpace,
     bch_check,
+    ccr_deviation,
     displacement_truncation_deviation,
+    require_dense_budget,
     weyl_operator,
 )
 from .gauge import PhotonSmearing, coulomb_product, minus_product, t_map
@@ -148,7 +149,7 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         _require(isinstance(doc, dict), "config must be a JSON object")
@@ -196,7 +197,7 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
         raise
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -301,6 +302,14 @@ def _parse_complex(v) -> complex:
     raise ConfigError(f"complex entries are numbers or [re, im], got {v!r}")
 
 
+def _require_fock_budget(cfg: RunConfig, gauge: str):
+    """Reject an oversized Fock space from the config, before any grid."""
+    try:
+        require_dense_budget(cfg.fock_nodes, cfg.fock_cap, gauge)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # fields each photon entry kind takes, besides "type"
 _PHOTON_FIELDS = {
     "grid": ("values",),
@@ -362,7 +371,7 @@ def _parse_photons(path: str, cfg: RunConfig, gauge: str):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read photon spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"photon spec is not valid JSON: {exc}") from exc
     if isinstance(doc, list):
         entries, oracle = doc, False
@@ -375,15 +384,14 @@ def _parse_photons(path: str, cfg: RunConfig, gauge: str):
         _require(isinstance(entries, list), "'photons' must be a JSON list")
         _require(isinstance(oracle, bool), "'oracle' must be true or false")
     width = 4 if gauge == "FGB" else 3
+    if oracle:
+        _require_fock_budget(cfg, gauge)
     grid = ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
     photons = [_parse_photon(entry, grid, gauge, width) for entry in entries]
     if oracle:
         _require(photons, "oracle mode needs at least one photon")
         _require(all(isinstance(p, PhotonSmearing) for p in photons),
                  "oracle mode needs grid or pure_gauge photons only")
-        dim = (cfg.fock_cap + 1) ** grid.n_channels
-        _require(dim <= MAX_DENSE_DIM,
-                 f"oracle space dimension {dim} exceeds {MAX_DENSE_DIM}")
     return photons, oracle
 
 
@@ -456,10 +464,8 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
 def _fock_suite(cfg: RunConfig):
     """Run the operator-algebra checks; returns (check rows, table rows)."""
     gauge = cfg.gauges[0]
+    _require_fock_budget(cfg, gauge)
     grid = ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
-    dim = (cfg.fock_cap + 1) ** grid.n_channels
-    _require(dim <= MAX_DENSE_DIM,
-             f"Fock dimension {dim} exceeds the dense budget {MAX_DENSE_DIM}")
     space = TruncatedFockSpace(grid, cfg.fock_cap)
     rng = np.random.default_rng(cfg.seed)
     shape = (grid.n_nodes, grid.channels_per_node)
@@ -470,14 +476,7 @@ def _fock_suite(cfg: RunConfig):
         return 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
     f, g = draw(), draw()
-    comm = (space.annihilation_operator(f) @ space.creation_operator(g)
-            - space.creation_operator(g)
-            @ space.annihilation_operator(f)).toarray()
-    mask = space.below_cap_mask(margin=1)
-    sub = np.ix_(mask, mask)
-    expected = -grid.signed_product(f, g) * np.eye(space.dim)
-    ccr_dev = float(np.abs(comm[sub] - expected[sub]).max())
-    checks.append(("ccr", ccr_dev, tol["ccr"]))
+    checks.append(("ccr", ccr_deviation(f, g, space), tol["ccr"]))
 
     # BCH convergence needs occupancy headroom above its comparison window,
     # which only a two-channel space affords inside the dense budget; probe

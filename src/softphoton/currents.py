@@ -62,48 +62,42 @@ class CurrentSpec:
         return CurrentSpec(self.kin, gauge, self.rho, self.window, self.eps)
 
 
-def _leg_vector(spec: CurrentSpec, leg: str) -> np.ndarray:
-    """Four-vector coupling of a leg: u for BN, vtilde for the dipole."""
-    return spec.kin.velocity(leg).four()
-
-
-def _leg_denominator(spec: CurrentSpec, leg: str, k: np.ndarray, k0: complex):
-    if spec.kin.model == "BN":
-        u = spec.kin.velocity(leg)
-        return k0 - float(u.spatial @ k)
-    return k0
-
-
-def current_fourier(spec: CurrentSpec, k, k0: float):
+def current_fourier(spec: CurrentSpec, k, k0):
     """Fourier transform of the current at (k0, k); k0 need not be on shell.
 
     FGB returns the complex four-vector
         i rho~(|k|) [ v_out / (d_out + i eps) - v_in / (d_in - i eps) ],
     d_leg = k0 - uvec_leg . k for straight legs and k0 for the dipole.
-    Coulomb gauge returns the transversely projected spatial part.
+    Coulomb gauge returns the transversely projected spatial part.  k may be
+    a stack (m, 3) of momenta, with k0 a scalar or an (m,) array; the result
+    then has one row per momentum.
     """
     k = np.asarray(k, dtype=float)
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
+    kn = np.linalg.norm(k, axis=-1)
+    if np.any(kn == 0.0):
         raise ValueError("current undefined at k = 0")
-    rho = spec.rho(kn)
+    rho = np.asarray(spec.rho(kn))
     terms = []
     for leg, sign, shift in (("out", +1.0, +1j * spec.eps),
                              ("in", -1.0, -1j * spec.eps)):
-        d = _leg_denominator(spec, leg, k, k0) + shift
-        if d == 0:
+        u = spec.kin.velocity(leg)
+        d = k0 - k @ u.spatial if spec.kin.model == "BN" else k0
+        d = np.asarray(d + shift)
+        if np.any(d == 0):
             raise ValueError(f"current hits the {leg}-leg pole at this (k, k0)")
-        terms.append(sign * _leg_vector(spec, leg) / d)
-    j4 = 1j * rho * (terms[0] + terms[1])
+        terms.append(sign * u.four() / d[..., None])
+    j4 = 1j * rho[..., None] * (terms[0] + terms[1])
     if spec.gauge == "FGB":
         return j4
-    return transverse_projector(k) @ j4[1:]
+    khat = k / kn[..., None]
+    jv = j4[..., 1:]
+    return jv - khat * np.sum(khat * jv, axis=-1, keepdims=True)
 
 
 def current_on_shell(spec: CurrentSpec, k):
-    """Current at the photon point k0 = |k|."""
+    """Current at the photon point k0 = |k|, for one k or a stack (m, 3)."""
     k = np.asarray(k, dtype=float)
-    return current_fourier(spec, k, float(np.linalg.norm(k)))
+    return current_fourier(spec, k, np.linalg.norm(k, axis=-1))
 
 
 def current_divergence(spec: CurrentSpec, k, t: float) -> complex:

@@ -10,17 +10,29 @@ Sign bookkeeping used throughout: s_c is the channel commutator sign, the
 smeared product is <f, g>_sigma = sum_i w_i sum_c sigma_c conj(f) g with
 sigma_c = -s_c, and [a(fbar), a*(g)] = -<f, g>_sigma.  The state-side Gram
 matrix eta is diagonal with entries (-1)^(total temporal occupation).
+
+The joint space is the tensor product of one (cap+1)-level ladder per
+channel, and every generator the oracle exponentiates (displacement, Weyl,
+the BCH pair) is a sum of commuting single-channel pieces.  So
+exp(sum_c g_c) is the tensor product of the (cap+1)^2 block exponentials
+exp(g_c), exactly on the truncated space.  All matrix elements come from one
+ladder block L (L[m, m+1] = sqrt(m+1)) and the channel signs: the smeared
+blocks of ``TruncatedFockSpace.smeared`` act along their channel's axis of
+the (cap+1)^n state tensor (``_along``), and their exponentials come from a
+Taylor series on sub-steps of norm <= 4 (``_expm_blocks``).  The displacement
+vacuum elements and their truncation tail are float64 path sums per channel
+(``_channel_vacuum``).  scipy is imported only by the sparse operator
+methods and the dense Weyl matrix, which the tests use as the independent
+joint-space reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .core import CutoffWindow
 from .currents import polarization_frame
@@ -35,10 +47,15 @@ __all__ = [
     "displacement_truncation_deviation",
     "weyl_operator",
     "bch_check",
+    "ccr_deviation",
     "emission_matrix_element",
+    "require_dense_budget",
 ]
 
 MAX_DENSE_DIM = 4608
+
+# channels per grid node in each gauge
+_CHANNELS_PER_NODE = {"FGB": 4, "Coulomb": 2}
 
 
 class FockTruncationError(RuntimeError):
@@ -91,7 +108,7 @@ class ModeGrid:
 
     @property
     def channels_per_node(self) -> int:
-        return 4 if self.gauge == "FGB" else 2
+        return _CHANNELS_PER_NODE[self.gauge]
 
     @property
     def n_channels(self) -> int:
@@ -138,73 +155,99 @@ class TruncatedFockSpace:
     """Occupation-number space over a ModeGrid with per-channel cap N.
 
     Basis states are occupation tuples enumerated lexicographically in
-    (node, channel, occupation); the dense dimension (cap+1)^channels is
-    capped at MAX_DENSE_DIM and larger grids are rejected.
+    (node, channel, occupation), so a state vector reshapes to the
+    (cap+1)^channels tensor with channel 0 as its leading axis; the dense
+    dimension (cap+1)^channels is capped at MAX_DENSE_DIM and larger grids
+    are rejected.  The ladder block and the channel signs are the only
+    stored matrix elements; the csr operators are built from them on first
+    use.
     """
 
     def __init__(self, grid: ModeGrid, cap: int):
-        if cap < 1:
-            raise ValueError("occupation cap must be >= 1")
-        n_ch = grid.n_channels
-        dim = (cap + 1) ** n_ch
-        if dim > MAX_DENSE_DIM:
-            raise ValueError(
-                f"dense basis would need {dim} states (limit {MAX_DENSE_DIM}); "
-                "use the channel-factorized path for large grids")
         self.grid = grid
         self.cap = cap
-        self.dim = dim
-        self._strides = np.array(
-            [(cap + 1) ** (n_ch - 1 - c) for c in range(n_ch)], dtype=np.int64)
-        # occupations[i] is the occupation tuple of basis state i
-        occ = np.indices((cap + 1,) * n_ch).reshape(n_ch, -1).T
-        self.occupations = np.ascontiguousarray(occ)
-        self._lower = [self._ladder(c) for c in range(n_ch)]
-        signs = grid.channel_signs()
-        self._raise = [signs[c] * self._lower[c].conj().T.tocsr()
-                       for c in range(n_ch)]
-        if grid.gauge == "FGB":
-            temporal = self.occupations[:, 0::4].sum(axis=1)
-            self.eta = np.where(temporal % 2 == 0, 1.0, -1.0)
-        else:
-            self.eta = np.ones(dim)
+        self.dim = require_dense_budget(grid.n_nodes, cap, grid.gauge)
+        self.signs = grid.channel_signs()
+        # lowering block of one channel: L |m+1> = sqrt(m+1) |m>
+        self.ladder = np.diag(np.sqrt(np.arange(1.0, cap + 1.0)), k=1)
 
-    def _ladder(self, c: int) -> sp.csr_matrix:
-        occ_c = self.occupations[:, c]
-        cols = np.nonzero(occ_c > 0)[0]
-        rows = cols - self._strides[c]
-        vals = np.sqrt(occ_c[cols]).astype(complex)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """occupations[i] is the occupation tuple of basis state i."""
+        n_ch = self.grid.n_channels
+        occ = np.indices((self.cap + 1,) * n_ch).reshape(n_ch, -1).T
+        return np.ascontiguousarray(occ)
 
-    # -- smeared operators --------------------------------------------------
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """Gram diagonal: (-1)^(total temporal occupation) per state."""
+        if self.grid.gauge != "FGB":
+            return np.ones(self.dim)
+        temporal = self.occupations[:, 0::4].sum(axis=1)
+        return np.where(temporal % 2 == 0, 1.0, -1.0)
 
-    def annihilation_operator(self, f) -> sp.csr_matrix:
-        """a(fbar) = sum sqrt(w_i) conj(f_ic) A_ic."""
+    # -- per-channel blocks -------------------------------------------------
+
+    def smeared(self, f, create: bool) -> np.ndarray:
+        """Per-channel blocks of a*(f) (``create``) or a(fbar), (n_ch, d, d).
+
+        a*(f) = sum_c sqrt(w_c) f_c s_c L^T and a(fbar) =
+        sum_c sqrt(w_c) conj(f_c) L, block c acting on channel c alone.
+        """
         f = self.grid.as_channel_array(f)
         root_w = np.sqrt(self.grid.node_weights())
+        if create:
+            return (f * root_w * self.signs)[:, None, None] * self.ladder.T
+        return (np.conj(f) * root_w)[:, None, None] * self.ladder
+
+    def apply_exp(self, blocks, state) -> np.ndarray:
+        """exp(sum_c block c) applied to ``state``: one block per axis."""
+        state = np.asarray(state, dtype=complex)
+        for c, block in enumerate(_expm_blocks(np.asarray(blocks))):
+            state = _along(block, state, c)
+        return state
+
+    # -- sparse operators (scipy, built on first use) ----------------------
+
+    def _embed(self, block, c: int):
+        """csr matrix of channel c's block on the joint space."""
+        import scipy.sparse as sp
+        d = self.cap + 1
+        n_ch = self.grid.n_channels
+        return sp.kron(sp.kron(sp.identity(d ** c), sp.csr_matrix(block)),
+                       sp.identity(d ** (n_ch - 1 - c)), format="csr")
+
+    def _operator(self, blocks):
+        """csr sum of the nonzero per-channel blocks on the joint space."""
+        import scipy.sparse as sp
         out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for c, amp in enumerate(np.conj(f) * root_w):
-            if amp != 0.0:
-                out = out + amp * self._lower[c]
+        for c, block in enumerate(blocks):
+            if block.any():
+                out = out + self._embed(block, c)
         return out
 
-    def creation_operator(self, f) -> sp.csr_matrix:
+    @cached_property
+    def _lower(self) -> list:
+        lower = self.ladder.astype(complex)
+        return [self._embed(lower, c) for c in range(self.grid.n_channels)]
+
+    @cached_property
+    def _raise(self) -> list:
+        return [self._embed(sign * self.ladder.T.astype(complex), c)
+                for c, sign in enumerate(self.signs)]
+
+    def annihilation_operator(self, f):
+        """a(fbar) = sum sqrt(w_i) conj(f_ic) A_ic, as a csr matrix."""
+        return self._operator(self.smeared(f, create=False))
+
+    def creation_operator(self, f):
         """a*(f) = sum sqrt(w_i) f_ic C_ic, with C the signed raising ops."""
-        f = self.grid.as_channel_array(f)
-        root_w = np.sqrt(self.grid.node_weights())
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for c, amp in enumerate(f * root_w):
-            if amp != 0.0:
-                out = out + amp * self._raise[c]
-        return out
+        return self._operator(self.smeared(f, create=True))
 
-    def number_operator(self) -> sp.csr_matrix:
+    def number_operator(self):
         """Plain sum of raw a+ a per channel (metric-blind occupancy count)."""
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for c in range(self.grid.n_channels):
-            raw_raise = self._lower[c].conj().T.tocsr()
-            out = out + raw_raise @ self._lower[c]
-        return out
+        count = self.ladder.T @ self.ladder
+        return self._operator([count] * self.grid.n_channels)
 
     # -- states and pairings ------------------------------------------------
 
@@ -221,12 +264,71 @@ class TruncatedFockSpace:
         """a*(f_1) ... a*(f_n) applied to the vacuum."""
         v = self.vacuum()
         for f in photons:
-            v = self.creation_operator(f) @ v
+            v = sum(_along(block, v, c)
+                    for c, block in enumerate(self.smeared(f, create=True)))
         return v
 
     def below_cap_mask(self, margin: int = 0) -> np.ndarray:
         """Basis states with every occupation <= cap - margin."""
         return np.all(self.occupations <= self.cap - margin, axis=1)
+
+
+def require_dense_budget(n_nodes: int, cap: int, gauge: str) -> int:
+    """Dense dimension (cap+1)^channels of a grid of ``n_nodes`` nodes.
+
+    Raises ValueError for a cap below 1 or a dimension above MAX_DENSE_DIM.
+    The power is multiplied up only until it passes the budget, so an
+    oversized grid is rejected before anything of its size is built, and
+    the message states the dimension as a power.
+    """
+    if cap < 1:
+        raise ValueError("occupation cap must be >= 1")
+    n_ch = n_nodes * _CHANNELS_PER_NODE[gauge]
+    dim = 1
+    for _ in range(n_ch):
+        dim *= cap + 1
+        if dim > MAX_DENSE_DIM:
+            raise ValueError(f"Fock dimension {cap + 1}^{n_ch} exceeds the "
+                             f"dense budget {MAX_DENSE_DIM}")
+    return dim
+
+
+def _along(block: np.ndarray, state: np.ndarray, c: int) -> np.ndarray:
+    """Apply a (d, d) block along axis c of the (d,)*n state tensor.
+
+    ``state`` is a basis-ordered vector (or a stack of them along a trailing
+    axis); channel c has stride d^(n-1-c), so the vector is (d^c, d, rest).
+    """
+    d = block.shape[0]
+    return (block @ state.reshape(d ** c, d, -1)).reshape(state.shape)
+
+
+def _expm_blocks(gens: np.ndarray) -> np.ndarray:
+    """exp of a stack of small (d, d) blocks, accurate to float64 rounding.
+
+    A Taylor series on s = ceil(max ||g||_1 / 4) equal sub-steps, cut once
+    the bound theta^k / k! on the next term is under 2^-53.  With a step
+    norm theta <= 4 no term exceeds 4^4 / 4! ~ 11, so the series loses at
+    most about one digit to cancellation, and the s step factors are
+    multiplied in turn: squaring them, or shorter steps, compound the
+    rounding of the products (the BCH check then reads ~4x its floor).
+    """
+    norm = float(np.abs(gens).sum(axis=-2).max(initial=0.0))
+    steps = max(1, math.ceil(norm / 4.0))
+    step = gens / steps
+    theta = norm / steps
+    term = total = np.broadcast_to(np.eye(gens.shape[-1], dtype=complex),
+                                   gens.shape)
+    k, bound = 0, theta
+    while bound > 2.0 ** -53:
+        k += 1
+        term = term @ step / k
+        total = total + term
+        bound *= theta / (k + 1)
+    out = total
+    for _ in range(steps - 1):
+        out = out @ total
+    return out
 
 
 @dataclass
@@ -305,21 +407,19 @@ def _channel_vacuum(amp_sq: float, sign: float, cap: int):
 
 def displacement_vacuum_expectation(f, charge: float, space: TruncatedFockSpace,
                                     truncation_tol: float = 1e-10) -> complex:
-    """<vac, exp(i e [a*(f) + a(fbar)]) vac> on the dense joint space.
+    """<vac, exp(i e [a*(f) + a(fbar)]) vac> on the truncated joint space.
 
     The closed form is exp(e^2 <f, f>_sigma / 2); here the exponential is
-    evaluated numerically (sparse expm action on the vacuum).  Raises
-    FockTruncationError when the coherent Poisson tail beyond the cap exceeds
-    ``truncation_tol``.
+    evaluated numerically (the n = 0 case of ``emission_matrix_element``).
+    Raises FockTruncationError when the coherent Poisson tail beyond the cap
+    exceeds ``truncation_tol``.
     """
     est = _poisson_tail(_channel_intensities(space.grid, f, charge), space.cap)
     if est > truncation_tol:
         raise FockTruncationError(
             f"truncation estimate {est:.3e} above tolerance {truncation_tol:.1e}")
-    gen = 1j * charge * (space.creation_operator(f)
-                         + space.annihilation_operator(f))
-    vec = expm_multiply(gen, space.vacuum())
-    return space.eta_product(space.vacuum(), vec)
+    return emission_matrix_element([], f, charge, space,
+                                   include_vacuum_part=True)
 
 
 def displacement_vacuum_channelwise(f, charge: float, grid: ModeGrid, cap: int,
@@ -373,18 +473,22 @@ def weyl_operator(g, h, space: TruncatedFockSpace, on=None) -> np.ndarray:
 
     g and h must be real smearings.  Returned dense so the algebraic
     relations (Krein isometry, exchange phase, vacuum expectation) can be
-    checked as matrix identities; given a state ``on``, returns W @ on
-    through the sparse exponential action instead, without forming W.
+    checked as matrix identities (scipy's ``expm`` of the joint generator);
+    given a state ``on``, returns W @ on through the per-channel block
+    exponentials instead, without forming W.
     """
     g = space.grid.as_channel_array(g)
     h = space.grid.as_channel_array(h)
     if np.any(g.imag != 0.0) or np.any(h.imag != 0.0):
         raise ValueError("Weyl arguments g, h must be real")
     n = g + 1j * h
+    if on is not None:
+        gen = -1j / np.sqrt(2.0) * (space.smeared(n, create=True)
+                                    + space.smeared(n, create=False))
+        return space.apply_exp(gen, on)
+    import scipy.linalg
     gen = -1j / np.sqrt(2.0) * (space.creation_operator(n)
                                 + space.annihilation_operator(n))
-    if on is not None:
-        return expm_multiply(gen.tocsc(), on)
     return scipy.linalg.expm(gen.toarray())
 
 
@@ -397,19 +501,46 @@ def bch_check(f, g, charge: float, space: TruncatedFockSpace,
     is triangular in occupation), so the deviation measures how well the
     truncated exp(A+B) converges: it is taken over entries whose row and
     column occupations stay within ``occupation_budget``, a window that is
-    kept fixed while the cap grows.  Both sides act only on the basis
-    columns inside that window.
+    kept fixed while the cap grows.  Both sides are tensor products of
+    per-channel blocks, so the window is the Kronecker product of each
+    block's leading (budget+1)^2 corner.
     """
-    A = (1j * charge * space.creation_operator(f)).tocsc()
-    B = (1j * charge * space.annihilation_operator(g)).tocsc()
+    A = 1j * charge * space.smeared(f, create=True)
+    B = 1j * charge * space.smeared(g, create=False)
     comm = -charge ** 2 * space.grid.signed_product(g, f)
-    mask = np.all(space.occupations <= occupation_budget, axis=1)
-    window = np.nonzero(mask)[0]
-    cols = np.zeros((space.dim, window.size), dtype=complex)
-    cols[window, np.arange(window.size)] = 1.0
-    lhs = expm_multiply(A + B, cols)
-    rhs = expm_multiply(A, expm_multiply(B, cols)) * np.exp(-0.5 * comm)
-    return float(np.abs(lhs - rhs)[mask].max())
+    corner = min(occupation_budget, space.cap) + 1
+    joint = _expm_blocks(A + B)[:, :corner, :corner]
+    split = (_expm_blocks(A) @ _expm_blocks(B))[:, :corner, :corner]
+    lhs, rhs = joint[0], split[0]
+    for c in range(1, len(joint)):
+        lhs = np.kron(lhs, joint[c])
+        rhs = np.kron(rhs, split[c])
+    return float(np.abs(lhs - rhs * np.exp(-0.5 * comm)).max())
+
+
+def ccr_deviation(f, g, space: TruncatedFockSpace) -> float:
+    """max |[a(fbar), a*(g)] + <f, g>_sigma| on states below the cap.
+
+    The truncation breaks the relation only at the top level, where the
+    block commutator [L, L^T] reads -cap, so every occupation is kept below
+    the cap.  Blocks of different channels act on different tensor axes and
+    commute exactly, so the commutator is the Kronecker sum of the
+    per-channel block commutators; its entries between states in the window
+    are the diagonal sums and the off-diagonal block entries.
+    """
+    a = space.smeared(f, create=False)
+    c = space.smeared(g, create=True)
+    keep = space.cap
+    comm = (a @ c - c @ a)[:, :keep, :keep]
+    n_ch = len(comm)
+    diag = np.zeros((keep,) * n_ch, dtype=complex)
+    for ch in range(n_ch):
+        shape = [1] * n_ch
+        shape[ch] = keep
+        diag = diag + np.diagonal(comm[ch]).reshape(shape)
+    off = comm * (1.0 - np.eye(keep))
+    return float(max(np.abs(diag + space.grid.signed_product(f, g)).max(),
+                     np.abs(off).max()))
 
 
 def emission_matrix_element(photons, displacement, charge: float,
@@ -421,9 +552,9 @@ def emission_matrix_element(photons, displacement, charge: float,
     i e [a*(F) + a(Fbar)], which multiplies the same pairing structure by the
     vacuum amplitude.  n = 0 reduces to 1 (resp. the vacuum expectation).
     """
-    gen = 1j * charge * space.creation_operator(displacement)
+    gen = 1j * charge * space.smeared(displacement, create=True)
     if include_vacuum_part:
-        gen = gen + 1j * charge * space.annihilation_operator(displacement)
-    ket = expm_multiply(gen.tocsc(), space.vacuum())
+        gen = gen + 1j * charge * space.smeared(displacement, create=False)
+    ket = space.apply_exp(gen, space.vacuum())
     bra = space.product_state(photons)
     return space.eta_product(bra, ket)

@@ -264,15 +264,15 @@ def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
     degenerate = kin.degenerate or m_coul.real == 0.0
     ratio = float("nan") if degenerate else m_fgb.real / m_coul.real
     rng = np.random.default_rng(seed)
-    spec = CurrentSpec(kin, "FGB", rho, window)
-    residual = 0.0
-    for _ in range(n_residual_nodes):
+    ks = np.empty((n_residual_nodes, 3))
+    for k in ks:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        k = direction * rng.uniform(window.lam, window.Lam)
-        j4 = current_on_shell(spec, k)
-        kn = np.linalg.norm(k)
-        residual = max(residual, abs(kn * j4[0] - k @ j4[1:]))
+        k[:] = direction * rng.uniform(window.lam, window.Lam)
+    j4 = current_on_shell(CurrentSpec(kin, "FGB", rho, window), ks)
+    kn = np.linalg.norm(ks, axis=1)
+    residual = np.abs(kn * j4[:, 0] - np.einsum("ij,ij->i", ks, j4[:, 1:]))
+    residual = residual.max(initial=0.0)
     return GaugeComparison(m_fgb=m_fgb, m_coulomb=m_coul, log_ratio=ratio,
                            degenerate=degenerate,
                            conservation_residual=float(residual))

@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: configs, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softphoton.cli import main
 
@@ -518,3 +524,176 @@ class TestParser:
         assert texts[0] == texts[1] == texts[2]
         assert texts[0][0] == (0 if "--help" in argv else 2)
         assert "usage: softphoton" in (texts[0][1].out + texts[0][1].err)
+
+
+# ---------------------------------------------------------------------------
+# Fock budget, import footprint and a fuzzed Fock contract
+
+GRID_COULOMB = [[[0.4, -0.2], [0.1, 0.3], [0.0, 0.1]]]
+
+
+def write_oracle_photons(tmp_path, values=GRID_COULOMB):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({"photons": [{"type": "grid", "values": values}],
+                                "oracle": True}), encoding="utf-8")
+    return path
+
+
+class TestFockBudget:
+    @pytest.mark.parametrize("command", ["fock-verify", "emission"])
+    def test_oversized_budget_rejected_before_the_grid(self, tmp_path, capsys,
+                                                       command):
+        # leggauss(10000) alone takes tens of seconds and ~1 GB
+        cfg, _ = write_config(tmp_path, gauge="Coulomb",
+                              fock={"nodes": 10000})
+        argv = [command, str(cfg)]
+        if command == "emission":
+            argv.append(str(write_oracle_photons(tmp_path)))
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "6^20000 exceeds the dense budget 4608" in err
+        assert len(err) < 200
+
+    def test_budget_edge_accepted(self, tmp_path):
+        # FGB 1 x 7: 8^4 = 4096 states, inside the budget
+        cfg, out = write_config(tmp_path, gauge="FGB",
+                                fock={"nodes": 1, "cap": 7})
+        photons = write_oracle_photons(
+            tmp_path, [[[0.4, -0.2], [0.1, 0.3], [0.0, 0.1], 0.2]])
+        assert main(["emission", str(cfg), str(photons)]) == 0
+        assert json.loads(open(out).read())["oracle"]["dim"] == 4096
+
+
+class TestOutOfRangeNumbers:
+    def test_overlong_integer_is_a_config_error(self, tmp_path, capsys):
+        # json refuses integers past 4300 digits with a plain ValueError
+        cfg, _ = write_config(tmp_path)
+        text = cfg.read_text().rstrip("}") + ', "seed": ' + "1" * 5000 + "}"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["corrections", str(cfg)]) == 2
+        photons = tmp_path / "photons.json"
+        photons.write_text("[" + "2" * 5000 + "]", encoding="utf-8")
+        cfg, _ = write_config(tmp_path)
+        assert main(["emission", str(cfg), str(photons)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_infinite_cap_is_a_config_error(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, fock={"nodes": 1,
+                                              "cap": float("inf")})
+        assert main(["fock-verify", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_subcommands_never_load_scipy(tmp_path):
+    # corrections, gauge-check, fock-verify in both gauges and an oracle
+    # emission, all in one process that must end without scipy imported
+    runs = []
+    for gauge, cap in (("FGB", 4), ("Coulomb", 6)):
+        cfg, _ = write_config(tmp_path, name=f"{gauge}.json", gauge=gauge,
+                              lambda_sweep=[0.2, 0.5],
+                              fock={"nodes": 1, "cap": cap},
+                              output={"format": "json",
+                                      "path": str(tmp_path / "out.json")})
+        runs += [["corrections", str(cfg)], ["gauge-check", str(cfg)],
+                 ["fock-verify", str(cfg)]]
+    cfg, _ = write_config(tmp_path, name="oracle_cfg.json", gauge="Coulomb",
+                          fock={"nodes": 1, "cap": 5})
+    runs.append(["emission", str(cfg), str(write_oracle_photons(tmp_path))])
+    code = ("import sys\nfrom softphoton.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'scipy' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+_JUNK = st.sampled_from([10000, 10 ** 30, 2.5, 1e300, float("inf"), -1, 0,
+                         "3", "x", True, None, [1], {}])
+_COMPONENT = st.one_of(st.floats(-1.0, 1.0),
+                       st.tuples(st.floats(-1.0, 1.0),
+                                 st.floats(-1.0, 1.0)).map(list))
+
+
+def _mostly(valid, junk=_JUNK):
+    """Valid values three times in four, so runs get past the parser."""
+    return st.sampled_from([valid, valid, valid, junk]).flatmap(lambda s: s)
+
+
+@st.composite
+def _fock_documents(draw):
+    """A config with fuzzed fock/tolerances/gauge and an oracle photon spec."""
+    doc = json.loads(json.dumps(BASE))
+    nodes = draw(_mostly(st.integers(1, 2)))
+    cap = draw(_mostly(st.integers(1, 7)))
+    fock = draw(_mostly(st.just({"nodes": nodes, "cap": cap}),
+                        st.sampled_from([{"nodes": nodes}, {"cap": cap},
+                                         {"cap": cap, "extra": 1}, None, [],
+                                         "fock"])))
+    if fock is not None:
+        doc["fock"] = fock
+    tolerance = _mostly(st.floats(1e-16, 1e-6),
+                        st.sampled_from([0.0, -1.0, 1e300, "1e-9", None, []]))
+    tols = draw(_mostly(
+        st.dictionaries(st.sampled_from(["ccr", "bch", "weyl", "t_isometry",
+                                         "displacement"]), tolerance,
+                        max_size=3),
+        st.sampled_from([{"bogus": 1e-9}, None, [], 1e-9])))
+    if tols is not None:
+        doc["tolerances"] = tols
+    gauge = draw(_mostly(st.sampled_from(["FGB", "Coulomb",
+                                          ["Coulomb", "FGB"]]),
+                         st.sampled_from(["Lorenz", [], 3, None])))
+    if gauge is not None:
+        doc["gauge"] = gauge
+    # grid photons shaped for the drawn gauge and nodes, or slightly not
+    first = gauge[0] if isinstance(gauge, list) and gauge else gauge
+    width = 4 if first == "FGB" else 3
+    rows = nodes if isinstance(nodes, int) and 0 < nodes < 5 else 1
+    grid = st.builds(
+        lambda values: {"type": "grid", "values": values},
+        _mostly(st.lists(st.lists(_COMPONENT, min_size=width,
+                                  max_size=width),
+                         min_size=rows, max_size=rows),
+                st.lists(st.lists(st.one_of(_COMPONENT, _JUNK), max_size=5),
+                         max_size=3)))
+    pure_gauge = st.builds(lambda h: {"type": "pure_gauge", "h": h},
+                           st.lists(_COMPONENT, min_size=rows,
+                                    max_size=rows))
+    entry = _mostly(st.one_of(grid, grid, pure_gauge),
+                    st.sampled_from([{"type": "bump", "center": 0.5,
+                                      "width": 0.1, "components": [0.0] * 4},
+                                     {"type": "grid"}, {}, 7]))
+    spec = {"photons": draw(st.lists(entry, min_size=1, max_size=2)),
+            "oracle": draw(_mostly(st.just(True),
+                                   st.sampled_from(["yes", 1, None])))}
+    return doc, spec, draw(st.sampled_from(["fock-verify", "emission"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fock_documents())
+def test_fuzzed_fock_contract(case):
+    doc, spec, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "report.out"
+        doc["output"] = {"format": "json", "path": str(out)}
+        (tmp / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp / "photons.json").write_text(json.dumps(spec), encoding="utf-8")
+        argv = [command, str(tmp / "config.json")]
+        if command == "emission":
+            argv.append(str(tmp / "photons.json"))
+        results = []
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 1, 2, 3), rc
+            assert "Traceback" not in err.getvalue()
+            results.append((rc, err.getvalue(),
+                            out.read_bytes() if out.exists() else None))
+            if out.exists():
+                out.unlink()
+        assert results[0] == results[1]

@@ -248,3 +248,26 @@ class TestPhaseExponentD:
             phase_exponent_d(FourVelocity.rest(), -1.0, 0.1, SHARP, WIN)
         with pytest.raises(ValueError):
             phase_exponent_d(FourVelocity.rest(), 1.0, 0.0, SHARP, WIN)
+
+
+@pytest.mark.parametrize("kin", [KIN_BN, KIN_DIP], ids=["BN", "dipole"])
+@pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+@pytest.mark.parametrize("rho", [SHARP, FormFactor.gaussian(0.4),
+                                 FormFactor.tabulated([0.1, 0.5, 1.0],
+                                                      [1.0, 0.6, 0.2])],
+                         ids=["sharp", "gaussian", "tabulated"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_stacked_current_matches_pointwise(kin, gauge, rho, eps):
+    # a stack of momenta against one call per momentum; the stacked norms and
+    # dot products may round differently, by a few units at most
+    spec = CurrentSpec(kin, gauge, rho, WIN, eps=eps)
+    rng = np.random.default_rng(8)
+    ks = rng.normal(size=(16, 3))
+    ks *= rng.uniform(0.1, 1.0, size=(16, 1)) / np.linalg.norm(ks, axis=1,
+                                                                keepdims=True)
+    batch = current_on_shell(spec, ks)
+    for k, j in zip(ks, batch):
+        want = current_on_shell(spec, k)
+        np.testing.assert_allclose(j, want, rtol=0.0,
+                                   atol=8 * np.finfo(float).eps
+                                   * np.abs(want).max())
