@@ -318,8 +318,12 @@ _PHOTON_FIELDS = {
 }
 
 
-def _parse_photon(entry, grid: ModeGrid, gauge: str, width: int):
-    """One photon entry -> PhotonSmearing or a callable bump profile."""
+def _parse_photon(entry, n_nodes: int, gauge: str, width: int):
+    """One photon entry -> (kind, data), checked without building a grid.
+
+    ``data`` is the (n_nodes, width) value array of a grid photon, the node
+    scalars h of a pure-gauge photon, or the callable profile of a bump.
+    """
     _require(isinstance(entry, dict) and entry.get("type") in _PHOTON_FIELDS,
              f"unknown photon entry {entry!r}")
     kind = entry["type"]
@@ -330,20 +334,19 @@ def _parse_photon(entry, grid: ModeGrid, gauge: str, width: int):
                           f"{', '.join(repr(name) for name in missing)}")
     if kind == "grid":
         vals = entry["values"]
-        _require(isinstance(vals, list) and len(vals) == grid.n_nodes,
-                 f"grid photon needs {grid.n_nodes} node rows")
+        _require(isinstance(vals, list) and len(vals) == n_nodes,
+                 f"grid photon needs {n_nodes} node rows")
         _require(all(isinstance(row, list) and len(row) == width
                      for row in vals),
                  f"grid photon rows need {width} components")
-        arr = np.array([[_parse_complex(v) for v in row] for row in vals])
-        return PhotonSmearing(grid, arr)
+        return kind, np.array([[_parse_complex(v) for v in row]
+                               for row in vals])
     if kind == "pure_gauge":
         _require(gauge == "FGB", "pure-gauge photons require the FGB gauge")
         h = entry["h"]
-        _require(isinstance(h, list) and len(h) == grid.n_nodes,
-                 f"pure_gauge needs {grid.n_nodes} scalars")
-        return PhotonSmearing.pure_gauge(
-            grid, np.array([_parse_complex(v) for v in h]))
+        _require(isinstance(h, list) and len(h) == n_nodes,
+                 f"pure_gauge needs {n_nodes} scalars")
+        return kind, np.array([_parse_complex(v) for v in h])
     center, sigma, comp = (entry[name] for name in names)
     _require(_is_number(center) and _is_number(sigma),
              "bump center and width must be numbers")
@@ -357,7 +360,7 @@ def _parse_photon(entry, grid: ModeGrid, gauge: str, width: int):
         kn = np.linalg.norm(k)
         return a * np.exp(-(((kn - c) / s) ** 2))
 
-    return photon
+    return kind, photon
 
 
 def _parse_photons(path: str, cfg: RunConfig, gauge: str):
@@ -386,12 +389,21 @@ def _parse_photons(path: str, cfg: RunConfig, gauge: str):
     width = 4 if gauge == "FGB" else 3
     if oracle:
         _require_fock_budget(cfg, gauge)
-    grid = ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
-    photons = [_parse_photon(entry, grid, gauge, width) for entry in entries]
+    parsed = [_parse_photon(entry, cfg.fock_nodes, gauge, width)
+              for entry in entries]
+    on_grid = [kind != "bump" for kind, _ in parsed]
     if oracle:
-        _require(photons, "oracle mode needs at least one photon")
-        _require(all(isinstance(p, PhotonSmearing) for p in photons),
+        _require(parsed, "oracle mode needs at least one photon")
+        _require(all(on_grid),
                  "oracle mode needs grid or pure_gauge photons only")
+    # ModeGrid.radial costs O(nodes^3): build it only once every entry has
+    # passed its checks, and only for photons that live on it
+    grid = (ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
+            if any(on_grid) else None)
+    photons = [data if kind == "bump"
+               else PhotonSmearing(grid, data) if kind == "grid"
+               else PhotonSmearing.pure_gauge(grid, data)
+               for kind, data in parsed]
     return photons, oracle
 
 

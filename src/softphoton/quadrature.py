@@ -412,68 +412,63 @@ def _cross_angular(va: FourVelocity, vb: FourVelocity, gauge: str,
                        - excess)
 
 
-def _infrared_pref(rho: FormFactor, window: CutoffWindow,
-                   rule: RadialAngularRule | None) -> float:
+def _infrared_pref(rho: FormFactor, window: CutoffWindow) -> float:
     # Int w rho~^2 / k^2 = R_{-1} / ((2 pi)^3 2) per unit solid angle
-    return radial_moment(rho, window, -1, rule) / (16.0 * np.pi ** 3)
+    return radial_moment(rho, window, -1) / (16.0 * np.pi ** 3)
 
 
 # ---------------------------------------------------------------------------
 # counterterms
 
 
-def counterterm_z(rho: FormFactor, window: CutoffWindow,
-                  rule: RadialAngularRule | None = None) -> float:
+def counterterm_z(rho: FormFactor, window: CutoffWindow) -> float:
     """z = (1/3) Int_{k>lam} d3k rho~^2 / ((2 pi)^3 k^2) = R0 / (6 pi^2)."""
-    return radial_moment(rho, window, 0, rule) / (6.0 * np.pi ** 2)
+    return radial_moment(rho, window, 0) / (6.0 * np.pi ** 2)
 
 
-def counterterm_z_tilde(rho: FormFactor, window: CutoffWindow,
-                        rule: RadialAngularRule | None = None) -> float:
+def counterterm_z_tilde(rho: FormFactor, window: CutoffWindow) -> float:
     # shared integrand, coefficient 1/2 instead of 1/3
-    return 1.5 * counterterm_z(rho, window, rule)
+    return 1.5 * counterterm_z(rho, window)
 
 
-def counterterm_z1(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
-                   rule: RadialAngularRule | None = None) -> float:
+def counterterm_z1(u: FourVelocity, rho: FormFactor,
+                   window: CutoffWindow) -> float:
     """z1(u) = (1/3) Int d3k rho~^2 / ((2 pi)^3 k (u.k)); -> z as uvec -> 0.
 
     The angular integral Int dOmega / (1 - uvec.khat) is S(u) above.
     """
-    r0 = radial_moment(rho, window, 0, rule)
+    r0 = radial_moment(rho, window, 0)
     b2 = _dot(u.spatial_t, u.spatial_t)
     ang = _FOUR_PI * (1.0 + _atanh_excess(b2, 1.0 - b2))
     return r0 * ang / (3.0 * (2.0 * np.pi) ** 3)
 
 
-def counterterm_z2(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
-                   rule: RadialAngularRule | None = None) -> float:
+def counterterm_z2(u: FourVelocity, rho: FormFactor,
+                   window: CutoffWindow) -> float:
     # same angular integral, coefficient 1/2 instead of 1/3
-    return 1.5 * counterterm_z1(u, rho, window, rule)
+    return 1.5 * counterterm_z1(u, rho, window)
 
 
 # ---------------------------------------------------------------------------
 # infrared exponents
 
 
-def b_ir(u: FourVelocity, rho: FormFactor, window: CutoffWindow,
-         rule: RadialAngularRule | None = None) -> float:
+def b_ir(u: FourVelocity, rho: FormFactor, window: CutoffWindow) -> float:
     """Self-energy exponent B(u) = -u^2 Int w rho~^2 / (u.k)^2.
 
     Strictly negative; independent of u for straight-line legs because
     u^2 = 1 - beta^2 cancels the angular weight: B = -4 pi R_{-1} / (16 pi^3).
     """
-    return _infrared_pref(rho, window, rule) * _self_angular(u, "FGB", True)
+    return _infrared_pref(rho, window) * _self_angular(u, "FGB", True)
 
 
 def gamma_cross(u_a: FourVelocity, u_b: FourVelocity, rho: FormFactor,
-                window: CutoffWindow,
-                rule: RadialAngularRule | None = None) -> float:
+                window: CutoffWindow) -> float:
     """Cross exponent Gamma(u_a, u_b) = -(u_a.u_b) Int w rho~^2/((u_a.k)(u_b.k)).
 
     Symmetric in its arguments; Gamma(u, u) = b_ir(u).
     """
-    return (_infrared_pref(rho, window, rule)
+    return (_infrared_pref(rho, window)
             * _cross_angular(u_a, u_b, "FGB", True))
 
 
@@ -506,8 +501,7 @@ class CorrectionExponent:
 
 
 def m_exponent(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
-               window: CutoffWindow,
-               rule: RadialAngularRule | None = None) -> CorrectionExponent:
+               window: CutoffWindow) -> CorrectionExponent:
     """Vacuum-vacuum exponent M for the given model and gauge at epsilon = 0.
 
     total = charge^2 (gamma - (b_in + b_out)/2) where gamma and the b's are
@@ -520,7 +514,7 @@ def m_exponent(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
         raise ValueError("gauge must be 'FGB' or 'Coulomb'")
     v_out, v_in = kin.velocity("out"), kin.velocity("in")
     bn = kin.model == "BN"
-    pref = _infrared_pref(rho, window, rule)
+    pref = _infrared_pref(rho, window)
     b_out = pref * _self_angular(v_out, gauge, bn)
     b_in = pref * _self_angular(v_in, gauge, bn)
     gamma = pref * _cross_angular(v_out, v_in, gauge, bn)
@@ -578,10 +572,9 @@ def unren_halfline_exponent(u: FourVelocity, eps: float, rho: FormFactor,
 
 
 def counterterm_phase(u: FourVelocity, eps: float, rho: FormFactor,
-                      window: CutoffWindow, *, charge: float,
-                      rule: RadialAngularRule | None = None) -> complex:
+                      window: CutoffWindow, *, charge: float) -> complex:
     """Pure phase -i charge^2 u^2 z2(u) / (2 eps); cancels the Im divergence."""
     if not eps > 0.0:
         raise ValueError("adiabatic eps must be > 0")
-    z2 = counterterm_z2(u, rho, window, rule)
+    z2 = counterterm_z2(u, rho, window)
     return -1j * charge ** 2 * u.squared * z2 / (2.0 * eps)

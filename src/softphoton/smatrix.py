@@ -3,10 +3,14 @@
 The displacement profile F(k) = -j(k) / ((2 pi)^(3/2) sqrt(2|k|)) built from
 the on-shell current drives everything: the vacuum amplitude is
 exp(e^2 <F,F>_sigma / 2) = exp(m_exponent.total), and each emitted photon f
-contributes the factor -i e <f, F>_sigma, evaluated either as an adaptive
-continuum integral or as an exact sum on a mode grid.  Grid mode uses the
-same nodes and weights as the truncated-Fock oracle so comparisons isolate
-operator algebra rather than quadrature error.
+contributes the factor -i e <f, F>_sigma.  That one formula has two
+evaluations: an adaptive integral Int d3k over the window for a photon
+callable, and an exact weighted sum on a mode grid for a PhotonSmearing.
+Both pair the photon with the same stacked ``displacement_profile`` under
+the channel metric sigma: (+, -, -, -) on FGB four-vectors, -1 on each
+Coulomb component.  Grid mode uses the same nodes and weights as the
+truncated-Fock oracle so comparisons isolate operator algebra rather than
+quadrature error.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     FormFactor,
     FourVelocity,
     ScatteringKinematics,
+    # not called here; perfbench/tracer.py counts calls at these names
     on_shell_dot,
     transverse_projector,
 )
@@ -57,22 +62,28 @@ __all__ = [
 def displacement_profile(kin: ScatteringKinematics, gauge: str,
                          rho: FormFactor, window: CutoffWindow,
                          k) -> np.ndarray:
-    """F(k) = -j_onshell(k) / ((2 pi)^(3/2) sqrt(2|k|)), zero off window."""
+    """F(k) = -j_onshell(k) / ((2 pi)^(3/2) sqrt(2|k|)), zero off window.
+
+    ``k`` is one momentum or an (m, 3) stack; a stack gives one row per
+    momentum, from one current evaluation over the rows inside the window.
+    """
     k = np.asarray(k, dtype=float)
-    kn = float(np.linalg.norm(k))
-    width = 4 if gauge == "FGB" else 3
-    if not (window.lam <= kn <= window.Lam):
-        return np.zeros(width, dtype=complex)
-    spec = CurrentSpec(kin, gauge, rho, window)
-    return -current_on_shell(spec, k) / (_NORM * np.sqrt(2.0 * kn))
+    kn = np.linalg.norm(k, axis=-1)
+    inside = (window.lam <= kn) & (kn <= window.Lam)
+    F = np.zeros(k.shape[:-1] + (4 if gauge == "FGB" else 3,), dtype=complex)
+    if np.any(inside):
+        spec = CurrentSpec(kin, gauge, rho, window)
+        F[inside] = -current_on_shell(spec, k[inside]) / (
+            _NORM * np.sqrt(2.0 * kn[inside]))[..., None]
+    return F
 
 
 def displacement_profile_grid(kin: ScatteringKinematics, gauge: str,
                               rho: FormFactor, window: CutoffWindow,
                               grid: ModeGrid) -> np.ndarray:
     """Profile sampled on the grid nodes, as (n_nodes, 4 or 3) vectors."""
-    return np.stack([displacement_profile(kin, gauge, rho, window, k)
-                     for k in grid.nodes])
+    return displacement_profile(kin, gauge, rho, window,
+                                np.asarray(grid.nodes))
 
 
 def fock_channels(grid: ModeGrid, values: np.ndarray) -> np.ndarray:
@@ -100,16 +111,9 @@ def m_exponent_grid(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
 
 
 def vacuum_amplitude(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
-                     window: CutoffWindow,
-                     rule: RadialAngularRule | None = None) -> complex:
+                     window: CutoffWindow) -> complex:
     """exp(m_exponent.total) at epsilon = 0; real, in (0, 1]."""
-    return complex(np.exp(m_exponent(kin, gauge, rho, window, rule).total))
-
-
-def _leg_terms(kin: ScatteringKinematics):
-    """(eta_r, four-vector, bn flag) per leg for the emission kernel."""
-    return ((kin.eta_out, kin.velocity("out")),
-            (kin.eta_in, kin.velocity("in")))
+    return complex(np.exp(m_exponent(kin, gauge, rho, window).total))
 
 
 def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
@@ -117,57 +121,43 @@ def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
                     rule: RadialAngularRule | None = None) -> complex:
     """Single-photon emission factor -i e <f, F>_sigma.
 
-    ``photon`` is either a PhotonSmearing (exact weighted sum on its grid,
-    the matched-oracle mode) or a callable k -> components (adaptive
-    quadrature over the window).  The photon function enters antilinearly.
-    Expanded, the factor reads
-    -e Int d3k rho (2 pi)^(-3/2) (2k)^(-1/2) sum_r eta_r M(v_r, conj f)/d_r
-    for FGB with M the Minkowski contraction, and the opposite sign with the
-    transverse spatial dot for Coulomb.
+    Both branches pair conj(f) with the displacement profile F under the
+    channel metric sigma, (+, -, -, -) in FGB and -1 per component in
+    Coulomb.  ``photon`` is either a PhotonSmearing (exact weighted sum
+    Sum_i w_i <f_i, F(k_i)>_sigma on its grid, the matched-oracle mode) or a
+    callable k -> components taking one momentum (adaptive quadrature of
+    Int d3k <f(k), F(k)>_sigma over the window; each stack of sphere
+    directions gets one stacked profile evaluation).
     """
     if isinstance(photon, PhotonSmearing):
         grid = photon.grid
         if grid.gauge != gauge:
             raise ValueError("photon grid gauge does not match requested gauge")
-        for node in grid.nodes:
-            kn = float(np.linalg.norm(node))
-            if not (window.lam <= kn <= window.Lam):
-                raise ValueError("photon support extends outside the window")
+        kn = np.linalg.norm(np.asarray(grid.nodes), axis=1)
+        if not np.all((window.lam <= kn) & (kn <= window.Lam)):
+            raise ValueError("photon support extends outside the window")
         F = fock_channels(grid, displacement_profile_grid(
             kin, gauge, rho, window, grid))
         f = fock_channels(grid, photon.values)
         return -1j * kin.charge * grid.signed_product(f, F)
 
-    legs = _leg_terms(kin)
-    bn = kin.model == "BN"
+    metric = (np.array([1.0, -1.0, -1.0, -1.0]) if gauge == "FGB"
+              else -np.ones(3))
+    v_out, v_in = kin.velocity("out").spatial, kin.velocity("in").spatial
 
     def sphere_part(kn: float) -> complex:
         def kernel(khat):
-            vals = np.empty(khat.shape[0], dtype=complex)
-            for m, direction in enumerate(khat):
-                kvec = kn * direction
-                fbar = np.conj(np.asarray(photon(kvec), dtype=complex))
-                acc = 0.0 + 0.0j
-                for eta, v in legs:
-                    denom = on_shell_dot(v, kvec) if bn else kn
-                    if gauge == "FGB":
-                        num = v.u0 * fbar[0] - v.spatial @ fbar[1:]
-                    else:
-                        num = v.spatial @ (transverse_projector(kvec) @ fbar)
-                    acc += eta * num / denom
-                vals[m] = acc
-            return vals
+            ks = kn * khat
+            fbar = np.conj(np.array([photon(k) for k in ks], dtype=complex))
+            F = displacement_profile(kin, gauge, rho, window, ks)
+            return (fbar * F) @ metric
 
-        va = legs[0][1].spatial
-        vb = legs[1][1].spatial
-        return integrate_sphere(kernel, va, vb, rule, force_full=True)
+        return integrate_sphere(kernel, v_out, v_in, rule, force_full=True)
 
     def radial_fn(ks: np.ndarray) -> np.ndarray:
-        pref = ks ** 2 * rho(ks) / (_NORM * np.sqrt(2.0 * ks))
-        return pref * np.array([sphere_part(float(k)) for k in ks])
+        return ks ** 2 * np.array([sphere_part(float(k)) for k in ks])
 
-    sign = -1.0 if gauge == "FGB" else 1.0
-    return sign * kin.charge * integrate_radial(
+    return -1j * kin.charge * integrate_radial(
         radial_fn, window.lam, window.Lam, rule, breaks=rho.knots())
 
 
@@ -205,7 +195,7 @@ def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
     grid; the truncated-Fock matrix element on that grid (displacement
     operator with its vacuum part) lands in ``oracle_value``.
     """
-    exponent = m_exponent(kin, gauge, rho, window, rule)
+    exponent = m_exponent(kin, gauge, rho, window)
     vacuum = complex(np.exp(exponent.total))
     factors = tuple(emission_factor(kin, gauge, p, rho, window, rule)
                     for p in photons)
@@ -256,15 +246,13 @@ class GaugeComparison:
 
 
 def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
-                  window: CutoffWindow,
-                  rule: RadialAngularRule | None = None,
-                  n_residual_nodes: int = 8, seed: int = 0) -> GaugeComparison:
-    m_fgb = m_exponent(kin, "FGB", rho, window, rule).total
-    m_coul = m_exponent(kin, "Coulomb", rho, window, rule).total
+                  window: CutoffWindow, seed: int = 0) -> GaugeComparison:
+    m_fgb = m_exponent(kin, "FGB", rho, window).total
+    m_coul = m_exponent(kin, "Coulomb", rho, window).total
     degenerate = kin.degenerate or m_coul.real == 0.0
     ratio = float("nan") if degenerate else m_fgb.real / m_coul.real
     rng = np.random.default_rng(seed)
-    ks = np.empty((n_residual_nodes, 3))
+    ks = np.empty((8, 3))  # residual probe points
     for k in ks:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -324,14 +312,13 @@ def renormalization_ledger(u: FourVelocity, eps_ladder, rho: FormFactor,
     for eps in eps_arr:
         unren = unren_halfline_exponent(u, float(eps), rho, window,
                                         charge=charge, rule=rule)
-        phase = counterterm_phase(u, float(eps), rho, window,
-                                  charge=charge, rule=rule)
+        phase = counterterm_phase(u, float(eps), rho, window, charge=charge)
         rows.append(LedgerRow(eps=float(eps), unrenormalized=unren,
                               counterterm=phase, total=unren + phase))
     totals = np.array([r.total for r in rows])
     extrapolated = complex(_parity_fit(eps_arr, totals.real, odd=False)[0])
     imag_slope = float(_parity_fit(eps_arr, totals.imag, odd=True)[0])
-    target = -charge ** 2 * b_ir(u, rho, window, rule) / 2.0
+    target = -charge ** 2 * b_ir(u, rho, window) / 2.0
     if target == 0.0:
         rel = 0.0 if abs(extrapolated) == 0.0 else float("inf")
     else:

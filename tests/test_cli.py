@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softphoton.cli import main
+from softphoton.fock import ModeGrid
 
 BASE = {
     "model": "BN",
@@ -566,6 +567,46 @@ class TestFockBudget:
         assert json.loads(open(out).read())["oracle"]["dim"] == 4096
 
 
+class TestPhotonGrid:
+    """The O(nodes^3) radial grid is built only after the rows are checked,
+    and only for photons that live on it."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ModeGrid.radial was built")
+        monkeypatch.setattr(ModeGrid, "radial", refuse)
+
+    def run(self, tmp_path, payload):
+        cfg, out = write_config(tmp_path, gauge="FGB",
+                                fock={"nodes": 2000})
+        photons = tmp_path / "photons.json"
+        photons.write_text(json.dumps(payload), encoding="utf-8")
+        return main(["emission", str(cfg), str(photons)]), out
+
+    def test_row_mismatch_exits_before_the_grid(self, tmp_path, capsys):
+        rc, _ = self.run(tmp_path, [{"type": "grid",
+                                     "values": [[1.0, 0.0, 0.0, 0.0]]}])
+        assert rc == 2
+        assert "grid photon needs 2000 node rows" in capsys.readouterr().err
+
+    def test_pure_gauge_mismatch_exits_before_the_grid(self, tmp_path):
+        rc, _ = self.run(tmp_path, [{"type": "pure_gauge", "h": [1.0]}])
+        assert rc == 2
+
+    def test_empty_spec_builds_no_grid(self, tmp_path):
+        rc, out = self.run(tmp_path, [])
+        assert rc == 0
+        assert json.loads(open(out).read())["emission_factors"] == []
+
+    def test_bump_only_spec_builds_no_grid(self, tmp_path):
+        rc, out = self.run(tmp_path, [{"type": "bump", "center": 0.5,
+                                       "width": 0.1,
+                                       "components": [0, 1, 0, 0]}])
+        assert rc == 0
+        assert len(json.loads(open(out).read())["emission_factors"]) == 1
+
+
 class TestOutOfRangeNumbers:
     def test_overlong_integer_is_a_config_error(self, tmp_path, capsys):
         # json refuses integers past 4300 digits with a plain ValueError
@@ -697,3 +738,49 @@ def test_fuzzed_fock_contract(case):
             if out.exists():
                 out.unlink()
         assert results[0] == results[1]
+
+
+def test_perfbench_tracer_installs_on_live_modules(tmp_path):
+    # perfbench/tracer.py patches module attributes by name; a name that
+    # moves in src/ must fail here, not first in a traced benchmark run
+    pytest.importorskip("mpmath")
+    tracer_path = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "tracer.py")
+    cfg, _ = write_config(tmp_path, gauge="Coulomb",
+                          fock={"nodes": 1, "cap": 5},
+                          output={"format": "json",
+                                  "path": str(tmp_path / "out.json")})
+    runs = [["corrections", str(cfg)],
+            ["emission", str(cfg), str(write_oracle_photons(tmp_path))],
+            ["fock-verify", str(cfg)]]
+    code = f"""
+import importlib.util
+import mpmath
+import scipy.linalg
+from softphoton import cli, core, currents, fock, gauge, quadrature, smatrix
+spec = importlib.util.spec_from_file_location("tracer", {str(tracer_path)!r})
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+modules = {{"cli": cli, "smatrix": smatrix, "quadrature": quadrature,
+           "currents": currents, "core": core, "gauge": gauge, "fock": fock,
+           "scipy.linalg": scipy.linalg, "mpmath": mpmath}}
+before = {{(name, attr): getattr(mod, attr)
+          for name, mod in modules.items() for attr in dir(mod)}}
+tracer = tracer_mod.Tracer()
+tracer.install(modules)
+entry = tracer.wrap("cli.main", cli.main)
+for argv in {runs!r}:
+    assert entry(argv) == 0, argv
+tracer.uninstall()
+metrics = tracer.layer_metrics()
+for name in ("cli.main", "smatrix.full_amplitude", "quadrature.m_exponent",
+             "fock.emission_matrix_element", "fock.bch_check",
+             "currents.current_on_shell"):
+    assert metrics[name + ".calls"] > 0, name
+after = {{(name, attr): getattr(mod, attr)
+         for name, mod in modules.items() for attr in dir(mod)}}
+assert all(after[key] is value for key, value in before.items()
+           if key in after), "uninstall left a patch behind"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -14,7 +14,7 @@ from softphoton.core import (
 from softphoton.currents import CurrentSpec, current_on_shell
 from softphoton.fock import ModeGrid
 from softphoton.gauge import PhotonSmearing, t_map
-from softphoton.quadrature import m_exponent
+from softphoton.quadrature import _atanh_excess, integrate_radial, m_exponent
 from softphoton.smatrix import (
     displacement_profile,
     displacement_profile_grid,
@@ -78,6 +78,32 @@ class TestDisplacementProfile:
                                            (0.0, 0.0, 2.0)) == 0.0)
         assert np.all(displacement_profile(kin, "Coulomb", RHO, WINDOW,
                                            (0.0, 0.0, 0.05)) == 0.0)
+
+    @pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+    @pytest.mark.parametrize("kin", [bn_kin(u_in=(0.2, 0.1, 0.0)),
+                                     dipole_kin()])
+    def test_stack_matches_per_momentum_loop(self, kin, gauge):
+        # rows outside the window, including k = 0, are zero without
+        # evaluating the current there
+        rng = np.random.default_rng(43)
+        ks = rng.normal(size=(12, 3))
+        ks *= rng.uniform(0.02, 1.4, size=(12, 1)) / np.linalg.norm(
+            ks, axis=1, keepdims=True)
+        ks[0] = 0.0
+        ks[1] = (0.1, 0.0, 0.0)
+        spec = CurrentSpec(kin, gauge, RHO, WINDOW)
+        loop = []
+        for k in ks:
+            kn = np.linalg.norm(k)
+            if WINDOW.lam <= kn <= WINDOW.Lam:
+                loop.append(-current_on_shell(spec, k)
+                            / (NORM * np.sqrt(2.0 * kn)))
+            else:
+                loop.append(np.zeros(4 if gauge == "FGB" else 3))
+        stacked = displacement_profile(kin, gauge, RHO, WINDOW, ks)
+        np.testing.assert_allclose(stacked, np.array(loop), rtol=1e-14,
+                                   atol=0.0)
+        assert np.all(stacked[0] == 0.0) and np.any(stacked[1] != 0.0)
 
     def test_coulomb_transverse(self):
         kin = bn_kin(u_in=(0.2, 0.1, 0.0), u_out=(0.0, 0.0, 0.6))
@@ -275,6 +301,77 @@ class TestEmissionFactorContinuum:
                               * RHO(k) * acc / (NORM * np.sqrt(2.0 * k)))
         oracle = -kin.charge * total
         assert factor == pytest.approx(oracle, rel=1e-9)
+
+
+class TestEmissionFactorContinuumClosedForms:
+    """Separable bump photons f(k) = a g(|k|) against their closed forms.
+
+    The angular integral of each leg's soft factor is elementary, so the
+    factor is e sum_r eta_r A_r(a) R with one radial integral
+    R = Int k rho g / ((2 pi)^(3/2) sqrt(2k)) dk.
+    """
+
+    GAUSS = FormFactor.gaussian(0.7)
+
+    @staticmethod
+    def g(k):
+        return np.exp(-(((k - 0.5) / 0.1) ** 2))
+
+    def bump(self, a):
+        a = np.asarray(a, dtype=complex)
+        return lambda k: a * self.g(np.linalg.norm(k))
+
+    def radial(self):
+        return integrate_radial(
+            lambda k: k * self.GAUSS(k) * self.g(k) / (NORM * np.sqrt(2.0 * k)),
+            WINDOW.lam, WINDOW.Lam, breaks=self.GAUSS.knots())
+
+    @staticmethod
+    def legs(kin):
+        return ((kin.eta_out, kin.velocity("out").spatial),
+                (kin.eta_in, kin.velocity("in").spatial))
+
+    def test_dipole_coulomb(self):
+        # Int dOmega P(khat) = (8 pi / 3) 1
+        kin = ScatteringKinematics.dipole(charge=0.3, mass=1.0,
+                                          p_in=(0.1, 0.0, 0.0),
+                                          p_out=(0.0, 0.2, 0.3))
+        a = np.array([0.3 - 0.2j, 1.0, 0.5j])
+        got = emission_factor(kin, "Coulomb", self.bump(a), self.GAUSS, WINDOW)
+        want = kin.charge * self.radial() * sum(
+            eta * (8.0 * np.pi / 3.0) * (v @ np.conj(a))
+            for eta, v in self.legs(kin))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_bn_fgb(self):
+        # Int dOmega / (1 - v.khat) = 4 pi atanh(beta) / beta = 4 pi (1 + X)
+        kin = bn_kin(u_in=(0.2, 0.1, 0.0), u_out=(0.0, -0.3, 0.4))
+        a = np.array([0.4, 1.0, 0.5j, 0.3 - 0.1j])
+        got = emission_factor(kin, "FGB", self.bump(a), self.GAUSS, WINDOW)
+        want = -kin.charge * self.radial() * sum(
+            eta * 4.0 * np.pi * (1.0 + _atanh_excess(v @ v, 1.0 - v @ v))
+            * (np.conj(a[0]) - v @ np.conj(a[1:]))
+            for eta, v in self.legs(kin))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_bn_gauge_independence(self):
+        # the physical FGB photon (khat.a g, a g) and its transverse part
+        # give the same factor for the conserved BN current
+        kin = bn_kin(u_in=(0.2, 0.1, 0.0), u_out=(0.0, -0.3, 0.4))
+        a = np.array([0.3 - 0.2j, 1.0, 0.5j])
+
+        def fgb(k):
+            khat = k / np.linalg.norm(k)
+            return np.concatenate([[khat @ a], a]) * self.g(np.linalg.norm(k))
+
+        def coulomb(k):
+            khat = k / np.linalg.norm(k)
+            return (a - khat * (khat @ a)) * self.g(np.linalg.norm(k))
+
+        x = emission_factor(kin, "FGB", fgb, self.GAUSS, WINDOW)
+        y = emission_factor(kin, "Coulomb", coulomb, self.GAUSS, WINDOW)
+        assert abs(x - y) <= 1e-12 * abs(x)
+        assert abs(x) > 1e-4
 
 
 class TestFullAmplitude:
