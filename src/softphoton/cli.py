@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,6 +96,14 @@ def _require(cond, msg: str):
         raise ConfigError(msg)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_keys(doc: dict, known, where: str):
     unknown = sorted(set(doc) - set(known))
     _require(not unknown, f"unknown {where} key(s): {', '.join(unknown)}")
@@ -131,6 +140,7 @@ def _parse_form_factor(doc: dict) -> FormFactor:
 
 def _parse_kinematics(doc: dict, model: str) -> ScatteringKinematics:
     charge = float(doc["charge"])
+    _require(_is_number(doc["charge"]), "charge must be a number")
     if model == "BN":
         return ScatteringKinematics.bn(u_in=doc["u_in"], u_out=doc["u_out"],
                                        charge=charge)
@@ -169,14 +179,23 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
         rho = _parse_form_factor(_section(doc, "form_factor", required=True))
         kin = _parse_kinematics(_section(doc, "kinematics", required=True),
                                 model)
-        ladder = tuple(float(e) for e in doc.get("epsilon_ladder", []))
+        raw = doc.get("epsilon_ladder", [])
+        ladder = tuple(float(e) for e in raw)  # float() names a non-number
+        _require(isinstance(raw, list) and all(map(_is_number, raw))
+                 and all(math.isfinite(e) and e > 0.0 for e in ladder)
+                 and all(a > b for a, b in zip(ladder, ladder[1:])),
+                 "epsilon_ladder must list finite numbers > 0, strictly "
+                 "decreasing")
         fock = _section(doc, "fock")
-        fock_nodes = int(fock.get("nodes", 1))
-        fock_cap = int(fock.get("cap", 5))
-        _require(fock_nodes >= 1 and fock_cap >= 1,
-                 "fock grid needs nodes >= 1 and cap >= 1")
+        fock_nodes = fock.get("nodes", 1)
+        fock_cap = fock.get("cap", 5)
+        _require(_is_int(fock_nodes) and _is_int(fock_cap)
+                 and fock_nodes >= 1 and fock_cap >= 1,
+                 "fock nodes and cap must be integers >= 1")
         tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _section(doc, "tolerances").items():
+            _require(_is_number(val) and math.isfinite(val) and val > 0.0,
+                     f"tolerance {key!r} must be a finite number > 0")
             tolerances[key] = float(val)
         output = _section(doc, "output")
         out_format = output.get("format", "json")
@@ -185,13 +204,14 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
         out_path = out if out is not None else output.get("path")
         _require(out_path, "an output path is required (config or --out)")
         sweep = tuple(float(v) for v in doc.get("lambda_sweep", []))
+        seed = seed if seed is not None else doc.get("seed", 0)
+        _require(_is_int(seed) and seed >= 0,
+                 "seed must be an integer >= 0")
         return RunConfig(model=model, gauges=tuple(gauges), rho=rho,
                          window=window, kin=kin, epsilon_ladder=ladder,
                          fock_nodes=fock_nodes, fock_cap=fock_cap,
                          tolerances=tolerances, out_format=out_format,
-                         out_path=str(out_path),
-                         seed=int(seed if seed is not None
-                                  else doc.get("seed", 0)),
+                         out_path=str(out_path), seed=seed,
                          lambda_sweep=sweep)
     except ConfigError:
         raise
@@ -288,10 +308,6 @@ def cmd_corrections(cfg: RunConfig) -> int:
                    ["gauge", "m_total", "vacuum_amplitude", "gamma_cross",
                     "b_ir_in", "b_ir_out"], rows)
     return EXIT_OK
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _parse_complex(v) -> complex:

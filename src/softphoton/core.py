@@ -96,17 +96,14 @@ class FormFactor:
 
 @dataclass(frozen=True)
 class CutoffWindow:
-    """Radial integration window [lam, Lam] plus the adiabatic parameter."""
+    """Radial integration window [lam, Lam]."""
 
     lam: float
     Lam: float
-    eps: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.lam < self.Lam):
             raise ValueError("window needs 0 < lam < Lam")
-        if self.eps < 0.0:
-            raise ValueError("adiabatic parameter must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +248,17 @@ def on_shell_dot(u: FourVelocity, k) -> float:
 
 
 def transverse_project(k, v) -> np.ndarray:
-    """Component of v orthogonal to k: v - khat (khat . v)."""
+    """Component of v orthogonal to k: v - khat (khat . v).
+
+    Row by row when k is an (m, 3) stack; v may be one vector or m rows.
+    """
     k = np.asarray(k, dtype=float)
     v = np.asarray(v)
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
+    kn = np.linalg.norm(k, axis=-1, keepdims=True)
+    if np.any(kn == 0.0):
         raise ValueError("cannot project transverse to k = 0")
     khat = k / kn
-    return v - khat * (khat @ v)
+    return v - khat * np.sum(khat * v, axis=-1, keepdims=True)
 
 
 def transverse_projector(k) -> np.ndarray:

@@ -147,8 +147,8 @@ class ModeGrid:
                          f"({self.n_nodes}, {self.channels_per_node})")
 
     def transverse_frames(self):
-        """Polarization pairs per node (Coulomb channel directions)."""
-        return [polarization_frame(np.asarray(node)) for node in self.nodes]
+        """Coulomb channel directions: e1 and e2 as (n_nodes, 3) arrays."""
+        return polarization_frame(np.asarray(self.nodes))
 
 
 class TruncatedFockSpace:

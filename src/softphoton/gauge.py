@@ -75,9 +75,6 @@ class PhotonSmearing:
         vals[:, 1:] = nodes * h[:, None]
         return cls(grid, vals)
 
-    def node_magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(np.asarray(self.grid.nodes), axis=1)
-
 
 def gupta_residual(f: PhotonSmearing) -> float:
     """max over nodes of |kbar.f| = ||k| f0 - k.f_vec|; 0 iff physical."""
@@ -167,19 +164,15 @@ def t_map_state(terms, tol: float = 1e-10):
 def polarization_components(grid: ModeGrid, t) -> np.ndarray:
     """Transverse 3-vectors to (n_nodes, 2) polarization coefficients."""
     t = np.asarray(t, dtype=complex)
-    out = np.empty((grid.n_nodes, 2), dtype=complex)
-    for i, (e1, e2) in enumerate(grid.transverse_frames()):
-        out[i, 0] = e1 @ t[i]
-        out[i, 1] = e2 @ t[i]
-    return out
+    return np.stack([np.sum(e * t, axis=1) for e in grid.transverse_frames()],
+                    axis=1)
 
 
 def vector_from_components(grid: ModeGrid, comp) -> np.ndarray:
+    """(n_nodes, 2) polarization coefficients to transverse 3-vectors."""
     comp = np.asarray(comp, dtype=complex)
-    out = np.zeros((grid.n_nodes, 3), dtype=complex)
-    for i, (e1, e2) in enumerate(grid.transverse_frames()):
-        out[i] = comp[i, 0] * e1 + comp[i, 1] * e2
-    return out
+    e1, e2 = grid.transverse_frames()
+    return comp[:, :1] * e1 + comp[:, 1:] * e2
 
 
 @dataclass(frozen=True)

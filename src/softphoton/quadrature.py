@@ -31,7 +31,9 @@ and the doubling Gauss-Legendre x trapezoid rule on the unit sphere
 (``integrate_sphere``) remain for what has no closed form: continuum emission
 factors, the radial part of the regularized (adiabatic epsilon > 0)
 exponents and other radial powers.  The test suite uses them as the
-independent oracle for every closed form here.
+independent oracle for every closed form here.  Both certify the same fixed
+targets: their error estimate (the change under order doubling) must fall
+below 5e-13 relative or 1e-14 absolute, or they raise QuadratureError.
 
 Conventions: w-measure shorthand Int w = Int d3k / ((2 pi)^3 2|k|), omega =
 u.k on the photon shell, a_r(khat) = 1 - uvec_r . khat.
@@ -49,7 +51,6 @@ from .core import CutoffWindow, FormFactor, FourVelocity, ScatteringKinematics
 
 __all__ = [
     "QuadratureError",
-    "RadialAngularRule",
     "CorrectionExponent",
     "radial_moment",
     "counterterm_z",
@@ -76,24 +77,14 @@ def _gl(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-@dataclass(frozen=True)
-class RadialAngularRule:
-    """Accuracy targets and size limits for the integrators.
-
-    The tolerances here are internal quadrature targets; they are kept well
-    below the package-wide comparison tolerances so that two independently
-    computed exponents agree to the advertised 1e-8.
-    """
-
-    radial_order: int = 16
-    angular_order: int = 16
-    abs_tol: float = 1e-14
-    rel_tol: float = 5e-13
-    max_radial_panels: int = 512
-    max_angular_order: int = 4096
-
-
-_DEFAULT_RULE = RadialAngularRule()
+# Integrator targets and limits.  The tolerances are internal quadrature
+# targets, kept well below the package-wide comparison tolerances so that two
+# independently computed exponents agree to the advertised 1e-8.
+_ORDER = 16  # starting Gauss-Legendre order, radial panels and sphere
+_ABS_TOL = 1e-14
+_REL_TOL = 5e-13
+_MAX_PANELS = 512  # the radial rule gives up at this many panels
+_MAX_ANGULAR_ORDER = 4096  # ... and the sphere rule once its order passes this
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +97,27 @@ def _panel_values(fn, a: float, b: float, order: int):
     return half * np.sum(w * fn(mid + half * x))
 
 
-def integrate_radial(fn, a: float, b: float, rule: RadialAngularRule | None = None,
-                     breaks=()) -> complex:
+def integrate_radial(fn, a: float, b: float, breaks=()) -> complex:
     """Adaptive Gauss-Legendre panels; error estimated by order doubling.
 
     ``fn`` must accept a 1d numpy array and may return complex values.
     ``breaks`` lists interior points where smoothness fails (panel edges are
     forced there).
     """
-    rule = rule or _DEFAULT_RULE
     if not b > a:
         raise ValueError("empty radial interval")
     edges = sorted({a, b, *(p for p in breaks if a < p < b)})
     panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        coarse = _panel_values(fn, lo, hi, rule.radial_order)
-        fine = _panel_values(fn, lo, hi, 2 * rule.radial_order)
+        coarse = _panel_values(fn, lo, hi, _ORDER)
+        fine = _panel_values(fn, lo, hi, 2 * _ORDER)
         panels.append([abs(fine - coarse), lo, hi, fine])
     while True:
         total = sum(p[3] for p in panels)
         err = sum(p[0] for p in panels)
-        if err <= max(rule.abs_tol, rule.rel_tol * abs(total)):
+        if err <= max(_ABS_TOL, _REL_TOL * abs(total)):
             return total
-        if len(panels) >= rule.max_radial_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
                 f"radial error estimate {err:.3e} above tolerance after "
                 f"{len(panels)} panels")
@@ -137,8 +126,8 @@ def integrate_radial(fn, a: float, b: float, rule: RadialAngularRule | None = No
         mid = 0.5 * (lo + hi)
         new = []
         for lo2, hi2 in ((lo, mid), (mid, hi)):
-            coarse = _panel_values(fn, lo2, hi2, rule.radial_order)
-            fine = _panel_values(fn, lo2, hi2, 2 * rule.radial_order)
+            coarse = _panel_values(fn, lo2, hi2, _ORDER)
+            fine = _panel_values(fn, lo2, hi2, 2 * _ORDER)
             new.append([abs(fine - coarse), lo2, hi2, fine])
         panels[worst:worst + 1] = new
 
@@ -247,8 +236,7 @@ def _closed_moment(rho: FormFactor, lam: float, Lam: float, power: int) -> float
     return _tabulated_moment(rho.table_k, rho.table_v, lam, Lam, power)
 
 
-def radial_moment(rho: FormFactor, window: CutoffWindow, power: int,
-                  rule: RadialAngularRule | None = None) -> float:
+def radial_moment(rho: FormFactor, window: CutoffWindow, power: int) -> float:
     """Int_lam^Lam rho~(k)^2 k^power dk; closed form for power -1 and 0.
 
     Other powers go through ``integrate_radial``.  A moment that is not
@@ -259,7 +247,7 @@ def radial_moment(rho: FormFactor, window: CutoffWindow, power: int,
     else:
         val = float(np.real(integrate_radial(
             lambda k: rho(k) ** 2 * k ** float(power),
-            window.lam, window.Lam, rule, breaks=rho.knots())))
+            window.lam, window.Lam, breaks=rho.knots())))
     if not math.isfinite(val):
         raise QuadratureError(f"radial moment R_{power} is not finite")
     return val
@@ -295,8 +283,7 @@ def _frame(v_a: np.ndarray, v_b: np.ndarray):
     return zhat, xhat, yhat, azimuthal
 
 
-def integrate_sphere(kernel, v_a, v_b, rule: RadialAngularRule | None = None,
-                     force_full: bool = False):
+def integrate_sphere(kernel, v_a, v_b, force_full: bool = False):
     """Int dOmega kernel(khat) for kernels built from at most two directions.
 
     ``kernel`` receives an (m, 3) array of unit vectors and returns a length-m
@@ -305,7 +292,6 @@ def integrate_sphere(kernel, v_a, v_b, rule: RadialAngularRule | None = None,
     frame vectors alone would permit a one-dimensional rule (needed when the
     kernel depends on directions beyond v_a and v_b).
     """
-    rule = rule or _DEFAULT_RULE
     v_a = np.asarray(v_a, dtype=float)
     v_b = np.asarray(v_b, dtype=float)
     zhat, xhat, yhat, azimuthal = _frame(v_a, v_b)
@@ -326,17 +312,17 @@ def integrate_sphere(kernel, v_a, v_b, rule: RadialAngularRule | None = None,
         vals = kernel(khat.reshape(-1, 3)).reshape(n_c, n_phi)
         return (wc @ vals.sum(axis=1)) * wphi
 
-    n_c = rule.angular_order
-    n_phi = rule.angular_order if azimuthal else 1
+    n_c = _ORDER
+    n_phi = _ORDER if azimuthal else 1
     prev = evaluate(n_c, n_phi)
     while True:
         n_c *= 2
         if azimuthal:
             n_phi *= 2
         cur = evaluate(n_c, n_phi)
-        if abs(cur - prev) <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
+        if abs(cur - prev) <= max(_ABS_TOL, _REL_TOL * abs(cur)):
             return cur
-        if n_c > rule.max_angular_order:
+        if n_c > _MAX_ANGULAR_ORDER:
             raise QuadratureError(
                 f"angular error estimate {abs(cur - prev):.3e} above tolerance "
                 f"at order {n_c}")
@@ -537,8 +523,7 @@ def m_exponent(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
 
 
 def unren_halfline_exponent(u: FourVelocity, eps: float, rho: FormFactor,
-                            window: CutoffWindow, *, charge: float,
-                            rule: RadialAngularRule | None = None) -> complex:
+                            window: CutoffWindow, *, charge: float) -> complex:
     """Unrenormalized vacuum exponent of a half-line leg at adiabatic eps > 0.
 
     Reduced form (derived from the regularized current paired with the
@@ -568,7 +553,7 @@ def unren_halfline_exponent(u: FourVelocity, eps: float, rho: FormFactor,
         return rho(k) ** 2 * k * half_angle
 
     return complex(pref * integrate_radial(radial, window.lam, window.Lam,
-                                           rule, breaks=rho.knots()))
+                                           breaks=rho.knots()))
 
 
 def counterterm_phase(u: FourVelocity, eps: float, rho: FormFactor,

@@ -33,7 +33,6 @@ from .fock import ModeGrid, TruncatedFockSpace, emission_matrix_element
 from .gauge import PhotonSmearing, polarization_components
 from .quadrature import (
     CorrectionExponent,
-    RadialAngularRule,
     b_ir,
     counterterm_phase,
     integrate_radial,
@@ -117,8 +116,7 @@ def vacuum_amplitude(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
 
 
 def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
-                    rho: FormFactor, window: CutoffWindow,
-                    rule: RadialAngularRule | None = None) -> complex:
+                    rho: FormFactor, window: CutoffWindow) -> complex:
     """Single-photon emission factor -i e <f, F>_sigma.
 
     Both branches pair conj(f) with the displacement profile F under the
@@ -152,13 +150,13 @@ def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
             F = displacement_profile(kin, gauge, rho, window, ks)
             return (fbar * F) @ metric
 
-        return integrate_sphere(kernel, v_out, v_in, rule, force_full=True)
+        return integrate_sphere(kernel, v_out, v_in, force_full=True)
 
     def radial_fn(ks: np.ndarray) -> np.ndarray:
         return ks ** 2 * np.array([sphere_part(float(k)) for k in ks])
 
     return -1j * kin.charge * integrate_radial(
-        radial_fn, window.lam, window.Lam, rule, breaks=rho.knots())
+        radial_fn, window.lam, window.Lam, breaks=rho.knots())
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,6 @@ class AmplitudeReport:
 
 def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
                    rho: FormFactor, window: CutoffWindow,
-                   rule: RadialAngularRule | None = None,
                    oracle_cap: int | None = None) -> AmplitudeReport:
     """Assemble vacuum x product of emission factors, optionally with oracle.
 
@@ -197,7 +194,7 @@ def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
     """
     exponent = m_exponent(kin, gauge, rho, window)
     vacuum = complex(np.exp(exponent.total))
-    factors = tuple(emission_factor(kin, gauge, p, rho, window, rule)
+    factors = tuple(emission_factor(kin, gauge, p, rho, window)
                     for p in photons)
     total = vacuum * np.prod(factors) if factors else vacuum
     oracle_value = None
@@ -300,18 +297,17 @@ class RenormalizationLedger:
 
 
 def renormalization_ledger(u: FourVelocity, eps_ladder, rho: FormFactor,
-                           window: CutoffWindow, *, charge: float,
-                           rule: RadialAngularRule | None = None
+                           window: CutoffWindow, *, charge: float
                            ) -> RenormalizationLedger:
     eps_arr = np.asarray([float(e) for e in eps_ladder])
-    if len(eps_arr) == 0 or np.any(eps_arr <= 0.0):
-        raise ValueError("epsilon ladder must be positive")
+    if len(eps_arr) == 0 or not np.all(np.isfinite(eps_arr) & (eps_arr > 0)):
+        raise ValueError("epsilon ladder must be finite and positive")
     if np.any(np.diff(eps_arr) >= 0.0):
         raise ValueError("epsilon ladder must be strictly decreasing")
     rows = []
     for eps in eps_arr:
         unren = unren_halfline_exponent(u, float(eps), rho, window,
-                                        charge=charge, rule=rule)
+                                        charge=charge)
         phase = counterterm_phase(u, float(eps), rho, window, charge=charge)
         rows.append(LedgerRow(eps=float(eps), unrenormalized=unren,
                               counterterm=phase, total=unren + phase))

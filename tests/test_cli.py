@@ -196,6 +196,50 @@ class TestConfigErrors:
         assert main(["corrections", str(path)]) == 2
         assert "verbose" in capsys.readouterr().err
 
+    @staticmethod
+    def config_with(tmp_path, key, value):
+        # write_config drops None values; this one writes any value
+        cfg, _ = write_config(tmp_path, lambda_sweep=[0.2, 0.5])
+        doc = json.loads(cfg.read_text())
+        doc[key] = value
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        return cfg
+
+    @pytest.mark.parametrize("ladder", [
+        [0.1, 0.2], [1e-3, 1e-3], [0], [-1], [float("nan")], [float("inf")],
+        ["0.1"], [True], "heavy", None, {"value": 0.3}])
+    def test_malformed_ladder_exit2(self, tmp_path, capsys, ladder):
+        cfg = self.config_with(tmp_path, "epsilon_ladder", ladder)
+        assert main(["corrections", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command,section,value", [
+        ("fock-verify", "tolerances", {"bch": float("nan")}),
+        ("fock-verify", "tolerances", {"weyl": float("inf")}),
+        ("fock-verify", "tolerances", {"ccr": 0.0}),
+        ("fock-verify", "tolerances", {"ccr": -1e-9}),
+        ("fock-verify", "tolerances", {"ccr": "1e-9"}),
+        ("fock-verify", "tolerances", {"ccr": True}),
+        ("corrections", "kinematics", dict(BASE["kinematics"], charge=True)),
+        ("corrections", "kinematics", dict(BASE["kinematics"], charge="0.3")),
+        ("gauge-check", "seed", 1.5),
+        ("gauge-check", "seed", True),
+        ("gauge-check", "seed", -1),
+        ("fock-verify", "fock", {"nodes": 1.7}),
+        ("fock-verify", "fock", {"nodes": True}),
+        ("fock-verify", "fock", {"cap": 5.0}),
+        ("fock-verify", "fock", {"cap": "5"})])
+    def test_unchecked_numbers_exit2(self, tmp_path, capsys, command,
+                                     section, value):
+        cfg = self.config_with(tmp_path, section, value)
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_seed_flag_exit2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, lambda_sweep=[0.2, 0.5])
+        assert main(["gauge-check", str(cfg), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_known_sections_accepted(self, tmp_path):
         # sections a subcommand does not use stay allowed
         cfg, out = write_config(tmp_path, fock={"nodes": 1, "cap": 3},
@@ -784,3 +828,25 @@ assert all(after[key] is value for key, value in before.items()
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_benchmark_corpus_meets_reference_and_parent_bytes():
+    # seed-1 benchmark jobs against perfbench/reference.py, and their exit
+    # codes, report digests and stderr against the committed digest file
+    runner = Path(__file__).resolve().parent / "benchmark_corpus.py"
+    proc = subprocess.run([sys.executable, str(runner)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = json.loads(proc.stdout)
+    assert got["failures"] == [], got["failures"][:10]
+    want = json.loads((runner.parent / "data" / "benchmark_digests.json")
+                      .read_text(encoding="utf-8"))
+    versions = {key: (got[key], want[key]) for key in ("python", "numpy")}
+    assert all(a == b for a, b in versions.values()), (
+        f"digests were made with other versions {versions}; regenerate them "
+        f"with `python {runner} --write` on the last commit whose reports "
+        f"are known good")
+    moved = [key for key in want["jobs"]
+             if got["jobs"].get(key) != want["jobs"][key]]
+    assert got["jobs"].keys() == want["jobs"].keys()
+    assert not moved, [(key, got["jobs"][key], want["jobs"][key])
+                       for key in moved[:5]]

@@ -53,8 +53,6 @@ class TestWindow:
             CutoffWindow(1.0, 0.1)
         with pytest.raises(ValueError):
             CutoffWindow(0.0, 1.0)
-        with pytest.raises(ValueError):
-            CutoffWindow(0.1, 1.0, eps=-0.1)
 
 
 class TestFourVelocity:

@@ -13,6 +13,7 @@ from softphoton.currents import (
     phase_exponent_d,
     polarization_frame,
 )
+from softphoton.quadrature import radial_moment
 
 SHARP = FormFactor.sharp(0.1, 1.0)
 WIN = CutoffWindow(0.1, 1.0)
@@ -142,6 +143,17 @@ class TestPolarizationFrame:
         b = polarization_frame([0.3, 0.2, 0.9])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_stack_matches_single(self):
+        ks = np.random.default_rng(5).normal(size=(64, 3))
+        e1s, e2s = polarization_frame(ks)
+        assert e1s.shape == e2s.shape == (64, 3)
+        for k, a, b in zip(ks, e1s, e2s):
+            e1, e2 = polarization_frame(k)
+            np.testing.assert_allclose(a, e1, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(b, e2, rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            polarization_frame([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
 
 class TestCoherence:
     def test_bn_rest_asymptotic_magnitude(self):
@@ -204,6 +216,56 @@ class TestCoherence:
         assert fn.window_norm(n_radial=24, n_angular=16) > 0.0
         with pytest.raises(ValueError):
             CoherenceFunction(spec, "sideways")
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+def test_window_norm_closed_forms_off_axis(gauge):
+    # Int d3k |f|^2 of a straight leg is R_{-1} / (2 (2 pi)^3) times
+    # (1 + beta^2) 4 pi / (1 - beta^2) in FGB and 8 pi (atanh beta - beta) /
+    # beta in Coulomb gauge, whichever way the leg points
+    rng = np.random.default_rng(11)
+    radial = radial_moment(SHARP, WIN, -1) / (2.0 * (2.0 * np.pi) ** 3)
+    cases = [((0.0, 0.2, 0.0), (0.5, 0.0, 0.0)),
+             (0.9 * _unit(rng), 0.1 * _unit(rng)),
+             (0.3 * _unit(rng), 0.7 * _unit(rng))]
+    for u_in, u_out in cases:
+        turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        norms = []
+        for legs in ((u_in, u_out), (turn @ u_in, turn @ u_out)):
+            kin = ScatteringKinematics.bn(*legs, charge=0.3)
+            spec = CurrentSpec(kin, gauge, SHARP, WIN)
+            norms.append([CoherenceFunction(spec, leg).window_norm()
+                          for leg in ("in", "out")])
+        for u, got, turned in zip((u_in, u_out), *norms):
+            beta = np.linalg.norm(u)
+            angular = ((1.0 + beta ** 2) * 4.0 * np.pi / (1.0 - beta ** 2)
+                       if gauge == "FGB"
+                       else 8.0 * np.pi * (np.arctanh(beta) - beta) / beta)
+            assert got == pytest.approx(radial * angular, rel=1e-9)
+            assert turned == pytest.approx(got, rel=1e-9)
+
+
+@pytest.mark.parametrize("kin", [KIN_BN, KIN_DIP], ids=["BN", "dipole"])
+@pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+@pytest.mark.parametrize("kind", ["asymptotic", "regularized"])
+@pytest.mark.parametrize("leg", ["in", "out"])
+def test_stacked_coherence_matches_pointwise(kin, gauge, kind, leg):
+    fn = CoherenceFunction(CurrentSpec(kin, gauge, SHARP, WIN), leg, kind,
+                           t=2.0, eps=0.1)
+    rng = np.random.default_rng(4)
+    ks = np.array([rng.uniform(0.1, 1.0) * _unit(rng) for _ in range(16)])
+    batch = fn(ks)
+    assert batch.shape == (16, 4 if gauge == "FGB" else 3)
+    for k, row in zip(ks, batch):
+        want = fn(k)
+        np.testing.assert_allclose(row, want, rtol=0.0,
+                                   atol=8 * np.finfo(float).eps
+                                   * np.abs(want).max())
 
 
 class TestPhaseExponentD:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softphoton import CutoffWindow, FormFactor, FourVelocity, ScatteringKinematics
+from softphoton import quadrature
 from softphoton.quadrature import (
     CorrectionExponent,
     QuadratureError,
-    RadialAngularRule,
     b_ir,
     counterterm_phase,
     counterterm_z,
@@ -351,23 +351,28 @@ class TestEngine:
         ref += float(w @ rho(k) ** 2)
         assert np.isclose(radial_moment(rho, WIN, 0), ref, rtol=1e-13)
 
-    def test_radial_failure_raises(self):
-        rule = RadialAngularRule(radial_order=4, max_radial_panels=6,
-                                 abs_tol=1e-16, rel_tol=1e-16)
-        with pytest.raises(QuadratureError):
-            integrate_radial(lambda k: np.sqrt(np.abs(k - 0.5477)), 0.1, 1.0,
-                             rule)
+    @staticmethod
+    def small_limits(monkeypatch, **limits):
+        # the shipped limits take 512 panels or leggauss(8192) to exhaust
+        for name, value in limits.items():
+            monkeypatch.setattr(quadrature, name, value)
 
-    def test_angular_failure_raises(self):
-        rule = RadialAngularRule(angular_order=8, max_angular_order=16,
-                                 abs_tol=1e-16, rel_tol=1e-16)
+    def test_radial_failure_raises(self, monkeypatch):
+        self.small_limits(monkeypatch, _ORDER=4, _MAX_PANELS=6,
+                          _ABS_TOL=1e-16, _REL_TOL=1e-16)
+        with pytest.raises(QuadratureError):
+            integrate_radial(lambda k: np.sqrt(np.abs(k - 0.5477)), 0.1, 1.0)
+
+    def test_angular_failure_raises(self, monkeypatch):
+        self.small_limits(monkeypatch, _ORDER=8, _MAX_ANGULAR_ORDER=16,
+                          _ABS_TOL=1e-16, _REL_TOL=1e-16)
         v = np.array([0.0, 0.0, 0.99])
 
         def kern(khat):
             return 1.0 / (1.0 - khat @ v) ** 2
 
         with pytest.raises(QuadratureError):
-            integrate_sphere(kern, v, np.zeros(3), rule)
+            integrate_sphere(kern, v, np.zeros(3))
 
     def test_sphere_constant(self):
         val = integrate_sphere(lambda khat: np.ones(len(khat)),

@@ -514,3 +514,9 @@ class TestRenormalizationLedger:
             renormalization_ledger(u, [1e-2, 1e-1], RHO, WINDOW, charge=0.3)
         with pytest.raises(ValueError):
             renormalization_ledger(u, [1e-1, -1e-2], RHO, WINDOW, charge=0.3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_ladder_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            renormalization_ledger(FourVelocity.rest(), [bad, 1e-2], RHO,
+                                   WINDOW, charge=0.3)
