@@ -171,6 +171,7 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
             gauges = [gauges]
         _require(gauges and all(g in _GAUGES for g in gauges),
                  "gauge must be FGB, Coulomb, or a list of them")
+        _require(len(set(gauges)) == len(gauges), "gauge must not repeat")
         win = _section(doc, "window", required=True)
         window = CutoffWindow(lam=float(lam if lam is not None
                                         else win["lambda"]),
@@ -201,9 +202,16 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
         out_format = output.get("format", "json")
         _require(out_format in ("json", "csv"),
                  "output format must be json or csv")
+        _require("path" not in output
+                 or (isinstance(output["path"], str) and output["path"]),
+                 "output path must be a non-empty string")
         out_path = out if out is not None else output.get("path")
         _require(out_path, "an output path is required (config or --out)")
-        sweep = tuple(float(v) for v in doc.get("lambda_sweep", []))
+        raw = doc.get("lambda_sweep", [])
+        sweep = tuple(float(v) for v in raw)  # float() names a non-number
+        _require(isinstance(raw, list) and all(map(_is_number, raw))
+                 and all(map(math.isfinite, sweep)),
+                 "lambda_sweep must list finite numbers")
         seed = seed if seed is not None else doc.get("seed", 0)
         _require(_is_int(seed) and seed >= 0,
                  "seed must be an integer >= 0")
@@ -234,9 +242,102 @@ def _cnum(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(value):
+    """JSON text of a scalar as ``json`` writes it; None for anything else.
+
+    Subclasses count as their base type, as in ``json``: an np.float64 is
+    a float, an np.bool_ or np.int64 is none of these.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _quote(text)
+
+
+def _encode(value, out: list, indent: str):
+    """Append the JSON text of ``value``, indented past ``indent``, to out.
+
+    Scalars inside a container are written in the container's loop.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            text = _scalar_text(item)
+            if text is None:
+                out.append(sep)
+                _encode(item, out, inner)
+            else:
+                out.append(sep + text)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            head = sep + _key_text(key) + ": "
+            text = _scalar_text(item)
+            if text is None:
+                out.append(head)
+                _encode(item, out, inner)
+            else:
+                out.append(head + text)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+        out.append(text)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, in one pass.
+
+    The standard encoder runs in pure Python whenever it indents; this is
+    the same output for report values (str, bool, None, int, float and
+    their subclasses, dict, list and tuple), with ``TypeError`` for any
+    other type.
+    """
+    out = []
+    _encode(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def _write_json(path: str, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    Path(path).write_bytes(text.encode("utf-8"))
+    Path(path).write_bytes(_json_text(obj).encode("utf-8"))
 
 
 def _write_csv(path: str, header, rows):

@@ -21,9 +21,12 @@ blocks of ``TruncatedFockSpace.smeared`` act along their channel's axis of
 the (cap+1)^n state tensor (``_along``), and their exponentials come from a
 Taylor series on sub-steps of norm <= 4 (``_expm_blocks``).  The displacement
 vacuum elements and their truncation tail are float64 path sums per channel
-(``_channel_vacuum``).  scipy is imported only by the sparse operator
-methods and the dense Weyl matrix, which the tests use as the independent
-joint-space reference.
+(``_channel_vacuum``), one walk per distinct (intensity, sign) in a call.
+Per-grid quantities are computed once per ``ModeGrid``: its Gauss-Legendre
+radial nodes come from a table cached by order, and its Coulomb
+polarization frames are built on first use and returned read-only.  scipy
+is imported only by the sparse operator methods and the dense Weyl matrix,
+which the tests use as the independent joint-space reference.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 from .core import CutoffWindow
 from .currents import polarization_frame
+from .quadrature import _gl
 
 __all__ = [
     "FockTruncationError",
@@ -64,7 +68,12 @@ class FockTruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Finite set of photon momenta with positive weights and gauge channels."""
+    """Finite set of photon momenta with positive weights and gauge channels.
+
+    Derived per-node arrays are computed once per grid object: the Coulomb
+    polarization frames of ``transverse_frames`` are built on first use and
+    shared, read-only, by every later call.
+    """
 
     nodes: tuple
     weights: tuple
@@ -93,8 +102,12 @@ class ModeGrid:
     @classmethod
     def radial(cls, window: CutoffWindow, n: int, gauge: str,
                direction=(0.0, 0.0, 1.0)) -> "ModeGrid":
-        """Gauss-Legendre radial nodes along one direction."""
-        x, w = np.polynomial.legendre.leggauss(n)
+        """Gauss-Legendre radial nodes along one direction.
+
+        The order-n rule comes from the table that the radial quadrature
+        shares, so a grid of an order seen before costs no new ``leggauss``.
+        """
+        x, w = _gl(n)
         mid = 0.5 * (window.lam + window.Lam)
         half = 0.5 * (window.Lam - window.lam)
         d = np.asarray(direction, dtype=float)
@@ -147,8 +160,19 @@ class ModeGrid:
                          f"({self.n_nodes}, {self.channels_per_node})")
 
     def transverse_frames(self):
-        """Coulomb channel directions: e1 and e2 as (n_nodes, 3) arrays."""
-        return polarization_frame(np.asarray(self.nodes))
+        """Coulomb channel directions: e1 and e2 as (n_nodes, 3) arrays.
+
+        Computed on the first call and shared by later ones, so the arrays
+        are read-only.
+        """
+        return self._frames
+
+    @cached_property
+    def _frames(self):
+        frames = polarization_frame(np.asarray(self.nodes))
+        for e in frames:
+            e.flags.writeable = False
+        return frames
 
 
 class TruncatedFockSpace:
@@ -453,15 +477,20 @@ def displacement_truncation_deviation(f, charge: float, grid: ModeGrid,
     product difference telescopes over channels into
     sum_c (prod_{c'<c} T_c') D_c (prod_{c'>c} C_c'), with T_c the truncated
     and C_c the closed channel element and D_c = C_c - T_c the channel tail.
+    Channels of equal intensity and sign have equal T_c and D_c, so each
+    distinct pair is walked once.
     """
     intens = _channel_intensities(grid, f, charge)
     signs = grid.channel_signs()
+    walks = {}
     deviation = 0.0
     head = 1.0
     for c, (amp_sq, sign) in enumerate(zip(intens, signs)):
         if amp_sq == 0.0:
             continue
-        truncated, tail = _channel_vacuum(amp_sq, sign, cap)
+        if (amp_sq, sign) not in walks:
+            walks[amp_sq, sign] = _channel_vacuum(amp_sq, sign, cap)
+        truncated, tail = walks[amp_sq, sign]
         later = math.exp(-0.5 * float(np.dot(signs[c + 1:], intens[c + 1:])))
         deviation += head * tail * later
         head *= truncated

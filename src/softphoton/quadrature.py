@@ -91,27 +91,38 @@ _MAX_ANGULAR_ORDER = 4096  # ... and the sphere rule once its order passes this
 # 1d adaptive radial integration
 
 
-def _panel_values(fn, a: float, b: float, order: int):
-    x, w = _gl(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * np.sum(w * fn(mid + half * x))
+def _panels(fn, intervals) -> list:
+    """[error estimate, lo, hi, value] of each interval, from one fn call.
+
+    The order-16 and order-32 nodes of every interval go to ``fn`` as one
+    array; each rule then sums its own slice of the values, interval by
+    interval, so the value is the order-32 sum and the estimate its change
+    from order 16.
+    """
+    rules = [(0.5 * (lo + hi), 0.5 * (hi - lo), *_gl(order))
+             for lo, hi in intervals for order in (_ORDER, 2 * _ORDER)]
+    vals = fn(np.concatenate([mid + half * x for mid, half, x, _ in rules]))
+    sums, start = [], 0
+    for _, half, x, w in rules:
+        sums.append(half * np.sum(w * vals[start:start + len(x)]))
+        start += len(x)
+    return [[abs(fine - coarse), lo, hi, fine] for (lo, hi), coarse, fine
+            in zip(intervals, sums[0::2], sums[1::2])]
 
 
 def integrate_radial(fn, a: float, b: float, breaks=()) -> complex:
     """Adaptive Gauss-Legendre panels; error estimated by order doubling.
 
-    ``fn`` must accept a 1d numpy array and may return complex values.
-    ``breaks`` lists interior points where smoothness fails (panel edges are
-    forced there).
+    ``fn`` must accept a 1d numpy array and may return complex values; it
+    is called once per refinement step, on the nodes of several panels at
+    once (every initial panel, then both halves of a split), so it must act
+    point by point.  ``breaks`` lists interior points where smoothness
+    fails (panel edges are forced there).
     """
     if not b > a:
         raise ValueError("empty radial interval")
     edges = sorted({a, b, *(p for p in breaks if a < p < b)})
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        coarse = _panel_values(fn, lo, hi, _ORDER)
-        fine = _panel_values(fn, lo, hi, 2 * _ORDER)
-        panels.append([abs(fine - coarse), lo, hi, fine])
+    panels = _panels(fn, list(zip(edges[:-1], edges[1:])))
     while True:
         total = sum(p[3] for p in panels)
         err = sum(p[0] for p in panels)
@@ -124,12 +135,7 @@ def integrate_radial(fn, a: float, b: float, breaks=()) -> complex:
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, lo, hi, _ = panels[worst]
         mid = 0.5 * (lo + hi)
-        new = []
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            coarse = _panel_values(fn, lo2, hi2, _ORDER)
-            fine = _panel_values(fn, lo2, hi2, 2 * _ORDER)
-            new.append([abs(fine - coarse), lo2, hi2, fine])
-        panels[worst:worst + 1] = new
+        panels[worst:worst + 1] = _panels(fn, [(lo, mid), (mid, hi)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,7 +107,32 @@ def m_exponent_grid(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
     """Grid-discretized correction exponent e^2 <F, F>_sigma / 2."""
     F = fock_channels(grid, displacement_profile_grid(kin, gauge, rho,
                                                       window, grid))
-    return 0.5 * kin.charge ** 2 * grid.signed_product(F, F)
+    return _grid_exponent(kin.charge, grid, F)
+
+
+def _grid_exponent(charge: float, grid: ModeGrid, F) -> complex:
+    # e^2 <F, F>_sigma / 2 of a channel-layout profile
+    return 0.5 * charge ** 2 * grid.signed_product(F, F)
+
+
+def _grid_profile(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
+                  window: CutoffWindow, grid: ModeGrid) -> np.ndarray:
+    """Channel-layout profile on the grid of a grid photon, checked first.
+
+    The grid must be of the requested gauge and lie inside the window.
+    """
+    if grid.gauge != gauge:
+        raise ValueError("photon grid gauge does not match requested gauge")
+    kn = np.linalg.norm(np.asarray(grid.nodes), axis=1)
+    if not np.all((window.lam <= kn) & (kn <= window.Lam)):
+        raise ValueError("photon support extends outside the window")
+    return fock_channels(grid, displacement_profile_grid(kin, gauge, rho,
+                                                         window, grid))
+
+
+def _grid_factor(charge: float, grid: ModeGrid, f, F) -> complex:
+    # -i e <f, F>_sigma of channel-layout photon and profile
+    return -1j * charge * grid.signed_product(f, F)
 
 
 def vacuum_amplitude(kin: ScatteringKinematics, gauge: str, rho: FormFactor,
@@ -129,15 +155,9 @@ def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
     """
     if isinstance(photon, PhotonSmearing):
         grid = photon.grid
-        if grid.gauge != gauge:
-            raise ValueError("photon grid gauge does not match requested gauge")
-        kn = np.linalg.norm(np.asarray(grid.nodes), axis=1)
-        if not np.all((window.lam <= kn) & (kn <= window.Lam)):
-            raise ValueError("photon support extends outside the window")
-        F = fock_channels(grid, displacement_profile_grid(
-            kin, gauge, rho, window, grid))
-        f = fock_channels(grid, photon.values)
-        return -1j * kin.charge * grid.signed_product(f, F)
+        F = _grid_profile(kin, gauge, rho, window, grid)
+        return _grid_factor(kin.charge, grid,
+                            fock_channels(grid, photon.values), F)
 
     metric = (np.array([1.0, -1.0, -1.0, -1.0]) if gauge == "FGB"
               else -np.ones(3))
@@ -191,11 +211,26 @@ def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
     With ``oracle_cap`` every photon must be a PhotonSmearing on one shared
     grid; the truncated-Fock matrix element on that grid (displacement
     operator with its vacuum part) lands in ``oracle_value``.
+
+    Grid photons give the same factor as ``emission_factor``, from one
+    channel-layout profile per distinct grid and one channel array per
+    photon; the oracle and its grid vacuum exponent reuse both.
     """
     exponent = m_exponent(kin, gauge, rho, window)
     vacuum = complex(np.exp(exponent.total))
-    factors = tuple(emission_factor(kin, gauge, p, rho, window)
-                    for p in photons)
+    profiles = {}  # grid -> channel-layout displacement profile
+    channels = []  # each grid photon's channel array
+    factors = []
+    for p in photons:
+        if not isinstance(p, PhotonSmearing):
+            factors.append(emission_factor(kin, gauge, p, rho, window))
+            continue
+        if p.grid not in profiles:
+            profiles[p.grid] = _grid_profile(kin, gauge, rho, window, p.grid)
+        channels.append(fock_channels(p.grid, p.values))
+        factors.append(_grid_factor(kin.charge, p.grid, channels[-1],
+                                    profiles[p.grid]))
+    factors = tuple(factors)
     total = vacuum * np.prod(factors) if factors else vacuum
     oracle_value = None
     grid_total = None
@@ -208,12 +243,10 @@ def full_amplitude(kin: ScatteringKinematics, gauge: str, photons,
         if any(p.grid != grid for p in photons[1:]):
             raise ValueError("oracle mode needs a single shared grid")
         space = TruncatedFockSpace(grid, oracle_cap)
-        F = fock_channels(grid, displacement_profile_grid(
-            kin, gauge, rho, window, grid))
-        photon_ch = [fock_channels(grid, p.values) for p in photons]
+        F = profiles[grid]
         oracle_value = emission_matrix_element(
-            photon_ch, F, kin.charge, space, include_vacuum_part=True)
-        grid_vacuum = np.exp(m_exponent_grid(kin, gauge, rho, window, grid))
+            channels, F, kin.charge, space, include_vacuum_part=True)
+        grid_vacuum = np.exp(_grid_exponent(kin.charge, grid, F))
         grid_total = complex(grid_vacuum * np.prod(factors))
         oracle_dim = space.dim
     return AmplitudeReport(model=kin.model, gauge=gauge, window=window,
@@ -242,18 +275,36 @@ class GaugeComparison:
     conservation_residual: float
 
 
+@lru_cache(maxsize=64)
+def _residual_probe(seed: int):
+    """Unit directions and uniform variates of the 8 residual probe points.
+
+    Drawn as the probe loop draws them, a normal 3-vector then one
+    ``random()`` per point, so k = direction (lam + (Lam - lam) U) equals
+    ``direction * rng.uniform(lam, Lam)`` bit for bit.  A sweep's windows
+    share one draw per seed; the arrays are read-only.
+    """
+    rng = np.random.default_rng(seed)
+    directions = np.empty((8, 3))
+    fractions = np.empty(8)
+    for i in range(8):
+        direction = rng.normal(size=3)
+        directions[i] = direction / np.linalg.norm(direction)
+        fractions[i] = rng.random()
+    directions.flags.writeable = False
+    fractions.flags.writeable = False
+    return directions, fractions
+
+
 def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
                   window: CutoffWindow, seed: int = 0) -> GaugeComparison:
     m_fgb = m_exponent(kin, "FGB", rho, window).total
     m_coul = m_exponent(kin, "Coulomb", rho, window).total
     degenerate = kin.degenerate or m_coul.real == 0.0
     ratio = float("nan") if degenerate else m_fgb.real / m_coul.real
-    rng = np.random.default_rng(seed)
-    ks = np.empty((8, 3))  # residual probe points
-    for k in ks:
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        k[:] = direction * rng.uniform(window.lam, window.Lam)
+    directions, fractions = _residual_probe(seed)
+    ks = directions * (window.lam
+                       + (window.Lam - window.lam) * fractions)[:, None]
     j4 = current_on_shell(CurrentSpec(kin, "FGB", rho, window), ks)
     kn = np.linalg.norm(ks, axis=1)
     residual = np.abs(kn * j4[:, 0] - np.einsum("ij,ij->i", ks, j4[:, 1:]))

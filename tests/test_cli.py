@@ -235,6 +235,36 @@ class TestConfigErrors:
         assert main([command, str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command", ["corrections", "emission",
+                                         "gauge-check", "fock-verify"])
+    @pytest.mark.parametrize("key,value", [
+        ("lambda_sweep", [float("nan")]), ("lambda_sweep", [True]),
+        ("lambda_sweep", [0.2, float("inf")]), ("lambda_sweep", ["0.2"]),
+        ("lambda_sweep", 0.2), ("output", {"path": 5}),
+        ("output", {"path": ""}), ("output", {"path": ["r.json"]}),
+        ("gauge", ["FGB", "FGB"]), ("gauge", ["Coulomb", "FGB", "Coulomb"])])
+    def test_whole_document_checked_on_every_subcommand(
+            self, tmp_path, capsys, monkeypatch, command, key, value):
+        monkeypatch.chdir(tmp_path)  # a numeric path must write no file
+        cfg = self.config_with(tmp_path, key, value)
+        argv = [command, str(cfg)]
+        if command == "emission":
+            photons = tmp_path / "photons.json"
+            photons.write_text("[]", encoding="utf-8")
+            argv.append(str(photons))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json"] + (["photons.json"] if command == "emission"
+                               else []))
+
+    def test_output_path_checked_with_out_flag(self, tmp_path, capsys):
+        cfg = self.config_with(tmp_path, "output", {"path": 5})
+        out = tmp_path / "flag.json"
+        assert main(["corrections", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_negative_seed_flag_exit2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, lambda_sweep=[0.2, 0.5])
         assert main(["gauge-check", str(cfg), "--seed", "-1"]) == 2
