@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _GAUGES = ("FGB", "Coulomb")
+_FLOAT_MAX = sys.float_info.max
 
 DEFAULT_TOLERANCES = {
     "ccr": 1e-10,
@@ -78,74 +78,163 @@ class RunConfig:
     lambda_sweep: tuple
 
 
-# keys each config section accepts; known but unused sections stay allowed
-_SECTION_KEYS = {
-    "window": ("lambda", "Lambda"),
-    "kinematics": ("charge", "u_in", "u_out", "p_in", "p_out", "mass"),
-    "form_factor": ("kind", "params"),
-    "fock": ("nodes", "cap"),
-    "output": ("format", "path"),
-    "tolerances": tuple(DEFAULT_TOLERANCES),
-}
-_TOP_KEYS = ("model", "gauge", "epsilon_ladder", "seed", "lambda_sweep",
-             *_SECTION_KEYS)
-
-
 def _require(cond, msg: str):
     if not cond:
         raise ConfigError(msg)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# ---------------------------------------------------------------------------
+# the document schema: a table maps each key to its rule, a function of the
+# JSON value and its name that returns the value the program uses
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _finite(v):
+    """``v`` as a float if it is a finite JSON number, else None."""
+    if (v.__class__ is float or v.__class__ is int) and abs(v) <= _FLOAT_MAX:
+        return float(v)  # a bool is neither class; NaN fails the bound
+    return None
 
 
-def _check_keys(doc: dict, known, where: str):
-    unknown = sorted(set(doc) - set(known))
-    _require(not unknown, f"unknown {where} key(s): {', '.join(unknown)}")
+def _number(positive: bool, v, name: str) -> float:
+    x = _finite(v)
+    if x is None or positive and not x > 0.0:
+        float(v)  # a value float() cannot read keeps float()'s message
+        raise ConfigError(f"{name} must be a finite JSON number"
+                          f"{' > 0' * positive}")
+    return x
 
 
-def _section(doc: dict, name: str, required: bool = False) -> dict:
-    """Config section ``name`` as a dict of known keys ({} when absent)."""
-    _require(name in doc or not required, f"missing section {name!r}")
-    sec = doc.get(name, {})
-    _require(isinstance(sec, dict), f"section {name!r} must be a JSON object")
-    _check_keys(sec, _SECTION_KEYS[name], name)
-    return sec
+def _integer(low: int, v, name: str) -> int:
+    if v.__class__ is not int or v < low:
+        raise ConfigError(f"{name} must be a JSON integer >= {low}")
+    return v
 
 
-# constructor and its parameters, in order, per form factor kind
-_FORM_FACTORS = {
-    "sharp": (FormFactor.sharp, ("lam", "Lam")),
-    "gaussian": (FormFactor.gaussian, ("sigma",)),
-    "tabulated": (FormFactor.tabulated, ("k", "values")),
+def _numbers(decreasing: bool, v, name: str) -> tuple:
+    xs = tuple(map(float, v))
+    if (v.__class__ is not list or None in map(_finite, v) or decreasing
+            and not all(a > b for a, b in zip(xs, xs[1:] + (0.0,)))):
+        raise ConfigError(f"{name} must list finite JSON numbers"
+                          + " > 0, strictly decreasing" * decreasing)
+    return xs
+
+
+def _vector(v, name: str) -> tuple:
+    if v.__class__ is not list or len(v) != 3:
+        _require(np.asarray(v, dtype=float).shape == (3,),
+                 "spatial velocity must be a 3-vector")
+    return _numbers(False, v, name)
+
+
+def _enum(choices: tuple, v, name: str) -> str:
+    if v.__class__ is not str or v not in choices:
+        raise ConfigError(f"{name} must be {' or '.join(choices)}, "
+                          f"not {v!r}")
+    return v
+
+
+def _text(v, name: str) -> str:
+    _require(v.__class__ is str and v, f"{name} must be a non-empty string")
+    return v
+
+
+def _gauges(v, name: str) -> tuple:
+    gauges = [v] if v.__class__ is str else v
+    _require(gauges.__class__ is list and gauges
+             and all(g in _GAUGES for g in gauges)
+             and len(set(gauges)) == len(gauges),
+             f"{name} must be FGB, Coulomb or a list of them without repeats")
+    return tuple(gauges)
+
+
+def _typed(cls: type, what: str, v, name: str):
+    _require(v.__class__ is cls, f"{name} must be {what}")
+    return v
+
+
+def _complex(v) -> complex:
+    re, im = map(_finite, v if v.__class__ is list and len(v) == 2
+                 else (v, 0))
+    if re is None or im is None:
+        raise ConfigError(f"not a finite complex number or [re, im]: {v!r}")
+    return complex(re, im)
+
+
+def _complexes(v, name: str) -> list:
+    return [_complex(x) for x in
+            _typed(list, "a list of complex scalars", v, name)]
+
+
+def _complex_rows(v, name: str) -> list:
+    _require(v.__class__ is list and all(row.__class__ is list for row in v),
+             f"{name} must be a list of node rows, each a list of components")
+    return [[_complex(x) for x in row] for row in v]
+
+
+def _radius(v, name: str) -> float:
+    _require(_finite(v) is not None, "bump center and width must be numbers")
+    return float(v)
+
+
+_real, _positive = partial(_number, False), partial(_number, True)
+_reals = partial(_numbers, False)
+# FormFactor.<kind> takes these params, in this order
+_FORM_FACTORS = {"sharp": {"lam": _positive, "Lam": _positive},
+                 "gaussian": {"sigma": _positive},
+                 "tabulated": {"k": _reals, "values": _reals}}
+# constructor per model, and the kinematics keys it takes, in order
+_MODELS = {"BN": (ScatteringKinematics.bn, ("u_in", "u_out", "charge")),
+           "dipole": (ScatteringKinematics.dipole,
+                      ("p_in", "p_out", "mass", "charge"))}
+_CONFIG = {
+    "model": partial(_enum, tuple(_MODELS)),
+    "gauge": _gauges,
+    "window": {"lambda": _positive, "Lambda": _positive},
+    "form_factor": {"kind": partial(_enum, tuple(_FORM_FACTORS)),
+                    "params": partial(_typed, dict, "a JSON object")},
+    "kinematics": {"charge": _real, "u_in": _vector, "u_out": _vector,
+                   "p_in": _vector, "p_out": _vector, "mass": _positive},
+    "epsilon_ladder": partial(_numbers, True),
+    "fock": dict.fromkeys(("nodes", "cap"), partial(_integer, 1)),
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, _positive),
+    "output": {"format": partial(_enum, ("json", "csv")), "path": _text},
+    "lambda_sweep": _reals,
+    "seed": partial(_integer, 0),
+}
+_PHOTON_SPEC = {"photons": partial(_typed, list, "a JSON list"),
+                "oracle": partial(_typed, bool, "true or false")}
+# fields of each photon entry type, besides "type"
+_PHOTON_FIELDS = {
+    "grid": {"values": _complex_rows},
+    "pure_gauge": {"h": _complexes},
+    "bump": {"center": _radius, "width": _radius, "components": _complexes},
 }
 
 
-def _parse_form_factor(doc: dict) -> FormFactor:
-    _require("kind" in doc, "form_factor needs a kind")
-    kind = doc["kind"]
-    _require(kind in _FORM_FACTORS, f"unknown form factor kind {kind!r}")
-    make, names = _FORM_FACTORS[kind]
-    params = doc.get("params", {})
-    _require(isinstance(params, dict),
-             "form_factor params must be a JSON object")
-    _check_keys(params, names, f"{kind} form_factor params")
-    return make(*(params[name] for name in names))
+def _walk(doc: dict, table: dict, name: str = "") -> dict:
+    """``doc`` with each value replaced by its rule's result in ``table``;
+    ``name`` names ``doc`` in messages."""
+    if not doc.keys() <= table.keys():
+        raise ConfigError(f"unknown {name or 'top-level'} key(s): "
+                          f"{', '.join(sorted(doc.keys() - table.keys()))}")
+    for key, v in doc.items():
+        rule = table[key]
+        if rule.__class__ is dict:  # a section, with its own table
+            if v.__class__ is not dict:
+                raise ConfigError(f"section {key!r} must be a JSON object")
+            _walk(v, rule, key)
+        else:
+            doc[key] = rule(v, f"{name} {key}" if name else key)
+    return doc
 
 
-def _parse_kinematics(doc: dict, model: str) -> ScatteringKinematics:
-    charge = float(doc["charge"])
-    _require(_is_number(doc["charge"]), "charge must be a number")
-    if model == "BN":
-        return ScatteringKinematics.bn(u_in=doc["u_in"], u_out=doc["u_out"],
-                                       charge=charge)
-    return ScatteringKinematics.dipole(p_in=doc["p_in"], p_out=doc["p_out"],
-                                       mass=float(doc["mass"]), charge=charge)
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str, lam=None, Lam=None, seed=None,
@@ -155,72 +244,40 @@ def load_config(path: str, lam=None, Lam=None, seed=None,
     Every malformed input surfaces as ConfigError so the front end can map
     it to exit code 2.
     """
+    doc = _read_json(path, "config")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        _require(isinstance(doc, dict), "config must be a JSON object")
-        _check_keys(doc, _TOP_KEYS, "top-level")
-        model = doc["model"]
-        _require(model in ("BN", "dipole"), f"unknown model {model!r}")
-        gauges = doc.get("gauge", list(_GAUGES))
-        if isinstance(gauges, str):
-            gauges = [gauges]
-        _require(gauges and all(g in _GAUGES for g in gauges),
-                 "gauge must be FGB, Coulomb, or a list of them")
-        _require(len(set(gauges)) == len(gauges), "gauge must not repeat")
-        win = _section(doc, "window", required=True)
-        window = CutoffWindow(lam=float(lam if lam is not None
-                                        else win["lambda"]),
-                              Lam=float(Lam if Lam is not None
-                                        else win["Lambda"]))
-        rho = _parse_form_factor(_section(doc, "form_factor", required=True))
-        kin = _parse_kinematics(_section(doc, "kinematics", required=True),
-                                model)
-        raw = doc.get("epsilon_ladder", [])
-        ladder = tuple(float(e) for e in raw)  # float() names a non-number
-        _require(isinstance(raw, list) and all(map(_is_number, raw))
-                 and all(math.isfinite(e) and e > 0.0 for e in ladder)
-                 and all(a > b for a, b in zip(ladder, ladder[1:])),
-                 "epsilon_ladder must list finite numbers > 0, strictly "
-                 "decreasing")
-        fock = _section(doc, "fock")
-        fock_nodes = fock.get("nodes", 1)
-        fock_cap = fock.get("cap", 5)
-        _require(_is_int(fock_nodes) and _is_int(fock_cap)
-                 and fock_nodes >= 1 and fock_cap >= 1,
-                 "fock nodes and cap must be integers >= 1")
-        tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in _section(doc, "tolerances").items():
-            _require(_is_number(val) and math.isfinite(val) and val > 0.0,
-                     f"tolerance {key!r} must be a finite number > 0")
-            tolerances[key] = float(val)
-        output = _section(doc, "output")
-        out_format = output.get("format", "json")
-        _require(out_format in ("json", "csv"),
-                 "output format must be json or csv")
-        _require("path" not in output
-                 or (isinstance(output["path"], str) and output["path"]),
-                 "output path must be a non-empty string")
-        out_path = out if out is not None else output.get("path")
-        _require(out_path, "an output path is required (config or --out)")
-        raw = doc.get("lambda_sweep", [])
-        sweep = tuple(float(v) for v in raw)  # float() names a non-number
-        _require(isinstance(raw, list) and all(map(_is_number, raw))
-                 and all(map(math.isfinite, sweep)),
-                 "lambda_sweep must list finite numbers")
-        seed = seed if seed is not None else doc.get("seed", 0)
-        _require(_is_int(seed) and seed >= 0,
-                 "seed must be an integer >= 0")
-        return RunConfig(model=model, gauges=tuple(gauges), rho=rho,
-                         window=window, kin=kin, epsilon_ladder=ladder,
-                         fock_nodes=fock_nodes, fock_cap=fock_cap,
-                         tolerances=tolerances, out_format=out_format,
-                         out_path=str(out_path), seed=seed,
-                         lambda_sweep=sweep)
+        _require(doc.__class__ is dict, "config must be a JSON object")
+        # a flag replaces its config value before the walk; --out does not
+        win = doc.get("window")
+        for sec, key, flag in ((win, "lambda", lam), (win, "Lambda", Lam),
+                               (doc, "seed", seed)):
+            if flag is not None and sec.__class__ is dict:
+                sec[key] = flag
+        cfg = _walk(doc, _CONFIG)
+        for section in ("window", "form_factor", "kinematics"):
+            _require(section in cfg, f"missing section {section!r}")
+        window = CutoffWindow(cfg["window"]["lambda"], cfg["window"]["Lambda"])
+        kind = cfg["form_factor"]["kind"]
+        params = _walk(cfg["form_factor"].get("params", {}),
+                       _FORM_FACTORS[kind], f"{kind} form_factor params")
+        rho = getattr(FormFactor, kind)(*map(params.__getitem__,
+                                             _FORM_FACTORS[kind]))
+        make, keys = _MODELS[cfg["model"]]
+        kin = make(*map(cfg["kinematics"].__getitem__, keys))
+        sweep = cfg.get("lambda_sweep", ())
+        _require(not sweep or 0.0 < min(sweep) and max(sweep) < window.Lam,
+                 "lambda_sweep values must lie inside (0, Lambda)")
+        output, fock = cfg.get("output", {}), cfg.get("fock", {})
+        out = output.get("path") if out is None else _text(out, "--out")
+        _require(out, "an output path is required (config or --out)")
+        return RunConfig(
+            model=cfg["model"], gauges=cfg.get("gauge", _GAUGES), rho=rho,
+            window=window, kin=kin, lambda_sweep=sweep,
+            epsilon_ladder=cfg.get("epsilon_ladder", ()),
+            fock_nodes=fock.get("nodes", 1), fock_cap=fock.get("cap", 5),
+            tolerances={**DEFAULT_TOLERANCES, **cfg.get("tolerances", {})},
+            out_format=output.get("format", "json"), out_path=out,
+            seed=cfg.get("seed", 0))
     except ConfigError:
         raise
     except KeyError as exc:
@@ -381,14 +438,10 @@ def cmd_corrections(cfg: RunConfig) -> int:
     doc = {"model": cfg.model, "window": {"lambda": cfg.window.lam,
                                           "Lambda": cfg.window.Lam},
            "gauges": results}
-    if len(cfg.gauges) == 2:
-        m = {g: results[g]["exponent"]["total"]["re"] for g in cfg.gauges}
-        coul = m.get("Coulomb")
-        fgb = m.get("FGB")
-        doc["log_ratio"] = (fgb / coul
-                            if fgb is not None and coul is not None
-                            and not cfg.kin.degenerate and coul != 0.0
-                            else None)
+    if len(cfg.gauges) == 2:  # both gauges: the schema allows no repeat
+        fgb, coul = (results[g]["exponent"]["total"]["re"] for g in _GAUGES)
+        doc["log_ratio"] = (fgb / coul if not cfg.kin.degenerate
+                            and coul != 0.0 else None)
     if cfg.epsilon_ladder:
         doc["ledger"] = {
             leg: _ledger_dict(renormalization_ledger(
@@ -411,14 +464,6 @@ def cmd_corrections(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_complex(v) -> complex:
-    if _is_number(v):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"complex entries are numbers or [re, im], got {v!r}")
-
-
 def _require_fock_budget(cfg: RunConfig, gauge: str):
     """Reject an oversized Fock space from the config, before any grid."""
     try:
@@ -427,100 +472,59 @@ def _require_fock_budget(cfg: RunConfig, gauge: str):
         raise ConfigError(str(exc)) from exc
 
 
-# fields each photon entry kind takes, besides "type"
-_PHOTON_FIELDS = {
-    "grid": ("values",),
-    "pure_gauge": ("h",),
-    "bump": ("center", "width", "components"),
-}
-
-
-def _parse_photon(entry, n_nodes: int, gauge: str, width: int):
-    """One photon entry -> (kind, data), checked without building a grid.
-
-    ``data`` is the (n_nodes, width) value array of a grid photon, the node
-    scalars h of a pure-gauge photon, or the callable profile of a bump.
-    """
-    _require(isinstance(entry, dict) and entry.get("type") in _PHOTON_FIELDS,
-             f"unknown photon entry {entry!r}")
-    kind = entry["type"]
-    names = _PHOTON_FIELDS[kind]
-    _check_keys(entry, ("type", *names), f"{kind} photon")
-    missing = [name for name in names if name not in entry]
-    _require(not missing, f"{kind} photon missing field(s) "
-                          f"{', '.join(repr(name) for name in missing)}")
-    if kind == "grid":
-        vals = entry["values"]
-        _require(isinstance(vals, list) and len(vals) == n_nodes,
-                 f"grid photon needs {n_nodes} node rows")
-        _require(all(isinstance(row, list) and len(row) == width
-                     for row in vals),
-                 f"grid photon rows need {width} components")
-        return kind, np.array([[_parse_complex(v) for v in row]
-                               for row in vals])
-    if kind == "pure_gauge":
-        _require(gauge == "FGB", "pure-gauge photons require the FGB gauge")
-        h = entry["h"]
-        _require(isinstance(h, list) and len(h) == n_nodes,
-                 f"pure_gauge needs {n_nodes} scalars")
-        return kind, np.array([_parse_complex(v) for v in h])
-    center, sigma, comp = (entry[name] for name in names)
-    _require(_is_number(center) and _is_number(sigma),
-             "bump center and width must be numbers")
-    _require(isinstance(comp, list) and len(comp) == width,
-             f"bump components need {width} entries")
-    _require(sigma > 0.0, "bump width must be positive")
-    a = np.array([_parse_complex(v) for v in comp])
-    c, s = float(center), float(sigma)
-
-    def photon(k):
-        kn = np.linalg.norm(k)
-        return a * np.exp(-(((kn - c) / s) ** 2))
-
-    return kind, photon
+def _bump(a, center: float, width: float, k):
+    """Radial Gaussian bump photon with polarization ``a`` at momentum k."""
+    return a * np.exp(-(((np.linalg.norm(k) - center) / width) ** 2))
 
 
 def _parse_photons(path: str, cfg: RunConfig, gauge: str):
-    """Photon spec file -> (photon list, oracle flag).
-
-    Entries are grid smearings ({"type": "grid", "values": ...}), pure-gauge
-    smearings ({"type": "pure_gauge", "h": ...}, FGB only), or parametric
-    radial bumps ({"type": "bump", "center", "width", "components"}).
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read photon spec: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ConfigError(f"photon spec is not valid JSON: {exc}") from exc
-    if isinstance(doc, list):
-        entries, oracle = doc, False
-    else:
-        _require(isinstance(doc, dict),
-                 "photon spec must be a list of photons or a JSON object")
-        _check_keys(doc, ("photons", "oracle"), "photon spec")
-        entries = doc.get("photons", [])
-        oracle = doc.get("oracle", False)
-        _require(isinstance(entries, list), "'photons' must be a JSON list")
-        _require(isinstance(oracle, bool), "'oracle' must be true or false")
-    width = 4 if gauge == "FGB" else 3
+    """Photon spec file -> (photon list, oracle flag)."""
+    doc = _read_json(path, "photon spec")
+    doc = {"photons": doc} if doc.__class__ is list else doc
+    _require(doc.__class__ is dict,
+             "photon spec must be a list of photons or a JSON object")
+    spec = _walk(doc, _PHOTON_SPEC, "photon spec")
+    oracle, n, width = (spec.get("oracle", False), cfg.fock_nodes,
+                        4 if gauge == "FGB" else 3)
     if oracle:
         _require_fock_budget(cfg, gauge)
-    parsed = [_parse_photon(entry, cfg.fock_nodes, gauge, width)
-              for entry in entries]
-    on_grid = [kind != "bump" for kind, _ in parsed]
+    parsed = []
+    for entry in spec.get("photons", []):
+        _require(entry.__class__ is dict, "unknown photon entry: not a dict")
+        kind = _enum(tuple(_PHOTON_FIELDS), entry.get("type"), "photon type")
+        fields = _PHOTON_FIELDS[kind]
+        data = _walk({key: v for key, v in entry.items() if key != "type"},
+                     fields, f"{kind} photon")
+        missing = ", ".join(repr(key) for key in fields if key not in data)
+        _require(not missing, f"{kind} photon missing field(s) {missing}")
+        if kind == "grid":
+            vals = data["values"]
+            _require(len(vals) == n, f"grid photon needs {n} node rows")
+            _require(all(len(row) == width for row in vals),
+                     f"grid photon rows need {width} components")
+        elif kind == "pure_gauge":
+            vals = data["h"]
+            _require(gauge == "FGB",
+                     "pure-gauge photons require the FGB gauge")
+            _require(len(vals) == n, f"pure_gauge needs {n} scalars")
+        else:
+            vals = data["components"]
+            _require(len(vals) == width,
+                     f"bump components need {width} entries")
+            _require(data["width"] > 0.0, "bump width must be positive")
+        parsed.append((kind, np.array(vals), data))
+    on_grid = [kind != "bump" for kind, _, _ in parsed]
     if oracle:
         _require(parsed, "oracle mode needs at least one photon")
         _require(all(on_grid),
                  "oracle mode needs grid or pure_gauge photons only")
     # ModeGrid.radial costs O(nodes^3): build it only once every entry has
     # passed its checks, and only for photons that live on it
-    grid = (ModeGrid.radial(cfg.window, cfg.fock_nodes, gauge)
-            if any(on_grid) else None)
-    photons = [data if kind == "bump"
-               else PhotonSmearing(grid, data) if kind == "grid"
-               else PhotonSmearing.pure_gauge(grid, data)
-               for kind, data in parsed]
+    grid = ModeGrid.radial(cfg.window, n, gauge) if any(on_grid) else None
+    photons = [PhotonSmearing(grid, a) if kind == "grid"
+               else PhotonSmearing.pure_gauge(grid, a) if kind == "pure_gauge"
+               else partial(_bump, a, data["center"], data["width"])
+               for kind, a, data in parsed]
     return photons, oracle
 
 
@@ -560,9 +564,6 @@ def cmd_emission(cfg: RunConfig, photon_path: str) -> int:
 
 def cmd_gauge_check(cfg: RunConfig) -> int:
     _require(cfg.lambda_sweep, "gauge-check needs a non-empty lambda_sweep")
-    for lam in cfg.lambda_sweep:
-        _require(0.0 < lam < cfg.window.Lam,
-                 f"sweep value {lam} outside (0, Lambda)")
     rows = []
     for lam in cfg.lambda_sweep:
         window = CutoffWindow(lam=lam, Lam=cfg.window.Lam)
@@ -708,10 +709,7 @@ def main(argv=None) -> int:
         if args.command == "gauge-check":
             return cmd_gauge_check(cfg)
         return cmd_fock_verify(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FockTruncationError, RuntimeError, FloatingPointError,

@@ -71,7 +71,10 @@ class FormFactor:
             raise ValueError("radial sample points must be increasing and >= 0")
         if np.any(~np.isfinite(vs)) or np.any(vs < 0.0):
             raise ValueError("form factor values must be finite and >= 0")
-        return cls(kind="tabulated", table_k=tuple(ks), table_v=tuple(vs))
+        # plain floats: an overflowing moment reaches its finiteness check
+        # as inf, without a numpy RuntimeWarning
+        return cls(kind="tabulated", table_k=tuple(ks.tolist()),
+                   table_v=tuple(vs.tolist()))
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)

@@ -62,6 +62,11 @@ MAX_DENSE_DIM = 4608
 _CHANNELS_PER_NODE = {"FGB": 4, "Coulomb": 2}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class FockTruncationError(RuntimeError):
     """Truncation-error estimate exceeded the requested tolerance."""
 
@@ -71,8 +76,9 @@ class ModeGrid:
     """Finite set of photon momenta with positive weights and gauge channels.
 
     Derived per-node arrays are computed once per grid object: the Coulomb
-    polarization frames of ``transverse_frames`` are built on first use and
-    shared, read-only, by every later call.
+    polarization frames of ``transverse_frames``, ``node_weights`` and
+    ``sigma`` are built on first use and shared, read-only, by every later
+    call.
     """
 
     nodes: tuple
@@ -136,11 +142,20 @@ class ModeGrid:
         return np.array(per * self.n_nodes)
 
     def sigma(self) -> np.ndarray:
-        return -self.channel_signs()
+        return self._sigma
 
     def node_weights(self) -> np.ndarray:
         """Weight per channel (the node weight repeated)."""
-        return np.repeat(np.asarray(self.weights), self.channels_per_node)
+        return self._node_weights
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        return _read_only(-self.channel_signs())
+
+    @cached_property
+    def _node_weights(self) -> np.ndarray:
+        return _read_only(np.repeat(np.asarray(self.weights),
+                                    self.channels_per_node))
 
     def signed_product(self, f, g) -> complex:
         """<f, g>_sigma = sum_i w_i sum_c sigma_c conj(f_ic) g_ic."""
@@ -170,9 +185,7 @@ class ModeGrid:
     @cached_property
     def _frames(self):
         frames = polarization_frame(np.asarray(self.nodes))
-        for e in frames:
-            e.flags.writeable = False
-        return frames
+        return tuple(map(_read_only, frames))
 
 
 class TruncatedFockSpace:

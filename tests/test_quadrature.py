@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,6 +611,18 @@ def test_non_finite_moment_raises():
     kin = ScatteringKinematics.bn((0, 0, 0), (0, 0, 0.5), charge=0.3)
     with pytest.raises(QuadratureError):
         m_exponent(kin, "FGB", huge, WIN)
+
+
+def test_overflowing_table_raises_without_warning():
+    # the table holds plain floats, so the overflow reaches the finiteness
+    # check as inf and numpy prints nothing on the way
+    huge = FormFactor.tabulated([0.1, 1.0], [1e300, 1e300])
+    assert all(type(x) is float for x in huge.table_k + huge.table_v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for power in (-1, 0):
+            with pytest.raises(QuadratureError):
+                radial_moment(huge, WIN, power)
 
 
 def _unren_product_rule(u, eps, rho, window, charge):

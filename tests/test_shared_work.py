@@ -138,6 +138,20 @@ class TestModeGridPerGridArrays:
             with pytest.raises(ValueError):
                 e[0, 0] = 1.0
 
+    @pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_weights_and_sigma_are_read_only_and_equal_the_rebuild(
+            self, gauge, n):
+        grid = ModeGrid.radial(WINDOW, n, gauge, direction=DIRECTION)
+        rebuilt = (np.repeat(np.asarray(grid.weights), grid.channels_per_node),
+                   -grid.channel_signs())
+        for get, expected in zip((grid.node_weights, grid.sigma), rebuilt):
+            got = get()
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+            assert get() is got
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_radial_nodes_equal_a_fresh_leggauss(self, n):
         # the ModeGrid.radial of the per-call leggauss code
