@@ -38,7 +38,8 @@ from .fock import (
     weyl_operator,
 )
 from .gauge import PhotonSmearing, coulomb_product, minus_product, t_map
-from .smatrix import full_amplitude, gauge_compare, renormalization_ledger
+from .smatrix import (full_amplitude, gauge_compare, log_ratio,
+                      renormalization_ledger)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -440,8 +441,8 @@ def cmd_corrections(cfg: RunConfig) -> int:
            "gauges": results}
     if len(cfg.gauges) == 2:  # both gauges: the schema allows no repeat
         fgb, coul = (results[g]["exponent"]["total"]["re"] for g in _GAUGES)
-        doc["log_ratio"] = (fgb / coul if not cfg.kin.degenerate
-                            and coul != 0.0 else None)
+        ratio = log_ratio(cfg.kin, fgb, coul)
+        doc["log_ratio"] = None if np.isnan(ratio) else ratio
     if cfg.epsilon_ladder:
         doc["ledger"] = {
             leg: _ledger_dict(renormalization_ledger(
@@ -697,8 +698,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = ("--lambda", "--Lambda", "--seed", "--out")
+
+
+def _joined(argv) -> list:
+    """argv with each override flag joined to its value: ``--flag=value``.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    decimal (``-inf``, ``-1e-3``) as a flag, not as the value.
+    """
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _VALUE_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None
+                                        else argv))
     try:
         cfg = load_config(args.config, lam=args.lam, Lam=args.Lam,
                           seed=args.seed, out=args.out)

@@ -24,8 +24,8 @@ from .core import (
     on_shell_dot,
     transverse_projector,
 )
-from .quadrature import (_ABS_TOL, _MAX_ANGULAR_ORDER, _REL_TOL,
-                         QuadratureError, _gl, integrate_radial)
+# perfbench/tracer.py patches _gl and integrate_radial here (_gl is not called)
+from .quadrature import _gl, integrate_radial, integrate_sphere
 
 __all__ = [
     "CurrentSpec",
@@ -217,25 +217,26 @@ class CoherenceFunction:
             return coherence_asymptotic(self.spec, self.leg, k)
         return coherence_regularized(self.spec, self.leg, k, self.t, self.eps)
 
-    def window_norm(self, n_radial: int = 64, n_angular: int = 32) -> float:
+    def window_norm(self) -> float:
         """Plain component-square norm Int d3k |f(k)|^2 over the window.
 
-        Gauss-Legendre in |k| and cos(theta), the trapezoid rule on
-        2 n_angular points in phi, all nodes in one stacked evaluation.
+        ``integrate_radial`` over |k| (panel edges at the form factor's
+        knots) of ``integrate_sphere`` over directions: |f|^2 depends on the
+        direction only through its angle to the leg velocity, so the sphere
+        rule is one-dimensional about that axis.
         """
+        axis = self.spec.kin.velocity(self.leg).spatial
+
+        def shell(ks):
+            def kernel(khat):
+                vals = self((khat[:, None, :] * ks[:, None]).reshape(-1, 3))
+                return np.sum(np.abs(vals) ** 2, axis=-1).reshape(
+                    len(khat), len(ks))
+            return ks ** 2 * integrate_sphere(kernel, axis, np.zeros(3))
+
         win = self.spec.window
-        half = 0.5 * (win.Lam - win.lam)
-        x, wx = _gl(n_radial)
-        c, wc = _gl(n_angular)
-        phi = np.pi * np.arange(2 * n_angular) / n_angular
-        k, c, phi = np.meshgrid(0.5 * (win.lam + win.Lam) + half * x, c, phi,
-                                indexing="ij")
-        r = k * np.sqrt(1.0 - c ** 2)
-        vals = self(np.stack([r * np.cos(phi), r * np.sin(phi), k * c],
-                             axis=-1).reshape(-1, 3))
-        sq = np.sum(np.abs(vals) ** 2, axis=-1).reshape(k.shape).sum(axis=2)
-        wk = half * wx * k[:, 0, 0] ** 2
-        return float(wk @ sq @ wc) * np.pi / n_angular
+        return float(np.real(integrate_radial(
+            shell, win.lam, win.Lam, breaks=self.spec.rho.knots())))
 
 
 # ---------------------------------------------------------------------------
@@ -260,38 +261,19 @@ def phase_exponent_d(u: FourVelocity, t: float, eps: float, rho: FormFactor,
         raise ValueError("eps must be > 0")
     if t == 0.0:
         return 0.0
-    beta = u.beta
 
     def bracket(omega):
         return (np.exp(-eps * t) * np.sin(omega * t)
                 + omega / (2.0 * eps) * (np.expm1(-2.0 * eps * t)))
 
-    def value(n_c: int) -> float:
-        if beta == 0.0:
-            def radial(k):
-                return rho(k) ** 2 * k * bracket(k) / (k ** 2 + eps ** 2) * 2.0
-        else:
-            c, wc = _gl(n_c)
+    v = u.spatial
 
-            def radial(k):
-                omega = np.multiply.outer(k, 1.0 - beta * c)
-                inner = np.sum(wc * bracket(omega) / (omega ** 2 + eps ** 2),
-                               axis=1)
-                return rho(k) ** 2 * k * inner
-        val = integrate_radial(radial, window.lam, window.Lam,
-                               breaks=rho.knots())
-        return float(np.real(val)) * (-1.0 / (4.0 * np.pi ** 2))
+    def radial(ks):
+        # the kernel depends on khat only through v.khat: a 1d rule about v
+        def kernel(khat):
+            omega = np.multiply.outer(1.0 - khat @ v, ks)
+            return bracket(omega) / (omega ** 2 + eps ** 2)
+        return rho(ks) ** 2 * ks * integrate_sphere(kernel, v, np.zeros(3))
 
-    if beta == 0.0:
-        return value(1)
-    n_c = 32
-    prev = value(n_c)
-    while True:
-        n_c *= 2
-        cur = value(n_c)
-        if abs(cur - prev) <= max(_ABS_TOL, _REL_TOL * abs(cur)):
-            return cur
-        if n_c > _MAX_ANGULAR_ORDER:
-            raise QuadratureError("angular part of the phase integral did "
-                                  "not converge")
-        prev = cur
+    val = integrate_radial(radial, window.lam, window.Lam, breaks=rho.knots())
+    return float(np.real(val)) * (-1.0 / (8.0 * np.pi ** 3))

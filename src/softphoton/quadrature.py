@@ -293,10 +293,12 @@ def integrate_sphere(kernel, v_a, v_b, force_full: bool = False):
     """Int dOmega kernel(khat) for kernels built from at most two directions.
 
     ``kernel`` receives an (m, 3) array of unit vectors and returns a length-m
-    array (real or complex).  Orders double until two successive evaluations
-    agree.  ``force_full`` keeps full azimuthal sampling even when the two
-    frame vectors alone would permit a one-dimensional rule (needed when the
-    kernel depends on directions beyond v_a and v_b).
+    array (real or complex), or an (m, K) array of K integrands, one row per
+    direction; the result then has K entries, each certified to the target.
+    Orders double until two successive evaluations agree.  ``force_full``
+    keeps full azimuthal sampling even when the two frame vectors alone
+    would permit a one-dimensional rule (needed when the kernel depends on
+    directions beyond v_a and v_b).
     """
     v_a = np.asarray(v_a, dtype=float)
     v_b = np.asarray(v_b, dtype=float)
@@ -315,7 +317,8 @@ def integrate_sphere(kernel, v_a, v_b, force_full: bool = False):
         khat = (c[:, None, None] * zhat
                 + (s[:, None] * cphi)[:, :, None] * xhat
                 + (s[:, None] * sphi)[:, :, None] * yhat)
-        vals = kernel(khat.reshape(-1, 3)).reshape(n_c, n_phi)
+        vals = kernel(khat.reshape(-1, 3))
+        vals = vals.reshape(n_c, n_phi, *vals.shape[1:])
         return (wc @ vals.sum(axis=1)) * wphi
 
     n_c = _ORDER
@@ -326,11 +329,12 @@ def integrate_sphere(kernel, v_a, v_b, force_full: bool = False):
         if azimuthal:
             n_phi *= 2
         cur = evaluate(n_c, n_phi)
-        if abs(cur - prev) <= max(_ABS_TOL, _REL_TOL * abs(cur)):
+        err = np.abs(cur - prev)
+        if np.all(err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))):
             return cur
         if n_c > _MAX_ANGULAR_ORDER:
             raise QuadratureError(
-                f"angular error estimate {abs(cur - prev):.3e} above tolerance "
+                f"angular error estimate {np.max(err):.3e} above tolerance "
                 f"at order {n_c}")
         prev = cur
 

@@ -15,6 +15,7 @@ quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,7 @@ __all__ = [
     "full_amplitude",
     "GaugeComparison",
     "gauge_compare",
+    "log_ratio",
     "LedgerRow",
     "RenormalizationLedger",
     "renormalization_ledger",
@@ -296,12 +298,22 @@ def _residual_probe(seed: int):
     return directions, fractions
 
 
+def log_ratio(kin: ScatteringKinematics, m_fgb: float, m_coul: float) -> float:
+    """m_fgb / m_coul of real exponent totals, NaN when degenerate.
+
+    Degenerate means equal leg velocities or a Coulomb exponent that is
+    exactly zero.
+    """
+    if kin.degenerate or m_coul == 0.0:
+        return float("nan")
+    return m_fgb / m_coul
+
+
 def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
                   window: CutoffWindow, seed: int = 0) -> GaugeComparison:
     m_fgb = m_exponent(kin, "FGB", rho, window).total
     m_coul = m_exponent(kin, "Coulomb", rho, window).total
-    degenerate = kin.degenerate or m_coul.real == 0.0
-    ratio = float("nan") if degenerate else m_fgb.real / m_coul.real
+    ratio = log_ratio(kin, m_fgb.real, m_coul.real)
     directions, fractions = _residual_probe(seed)
     ks = directions * (window.lam
                        + (window.Lam - window.lam) * fractions)[:, None]
@@ -310,7 +322,7 @@ def gauge_compare(kin: ScatteringKinematics, rho: FormFactor,
     residual = np.abs(kn * j4[:, 0] - np.einsum("ij,ij->i", ks, j4[:, 1:]))
     residual = residual.max(initial=0.0)
     return GaugeComparison(m_fgb=m_fgb, m_coulomb=m_coul, log_ratio=ratio,
-                           degenerate=degenerate,
+                           degenerate=math.isnan(ratio),
                            conservation_residual=float(residual))
 
 

@@ -589,6 +589,51 @@ def test_closed_exponent_up_to_luminal(model, kind, beta_in, beta_out,
         assert abs(mf - mc) <= 1e-12 * max(abs(mf), scale)
 
 
+def _theta_coth_excess(theta):
+    """theta coth(theta) - 1; its Taylor series below 0.1 keeps the digits."""
+    if theta >= 0.1:
+        return theta / np.tanh(theta) - 1.0
+    t2 = theta * theta
+    return t2 * (1 / 3 - t2 * (1 / 45 - t2 * (2 / 945 - t2 * (1 / 4725
+                                                            - t2 * 2 / 93555))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["BN", "dipole"]),
+       kind=st.sampled_from(sorted(RHOS)), charge=st.floats(1e-3, 2.0),
+       beta_in=st.floats(0.0, 0.999), beta_out=st.floats(0.0, 0.999),
+       ang_in=_angles, ang_out=_angles)
+def test_textbook_soft_photon_exponent(model, kind, charge, beta_in,
+                                       beta_out, ang_in, ang_out):
+    # A = -2 Re M_Coulomb / R_{-1} is the soft-photon exponent of QED:
+    # (2 alpha / pi)(theta coth theta - 1) for straight legs, theta their
+    # relative rapidity (Weinberg 1965), and the Larmor limit
+    # (2 alpha / 3 pi)|dv|^2 for the dipole, whose FGB exponent is 3/2 of
+    # the Coulomb one.  A total is a difference of its parts, so it carries
+    # their rounding: the bound adds 2e-15 of the largest part.
+    rho = RHOS[kind]
+    a, b = beta_in * _direction(*ang_in), beta_out * _direction(*ang_out)
+    kin = _kinematics(model, a, b, charge)
+    alpha = charge ** 2 / (4.0 * np.pi)
+    r_m1 = radial_moment(rho, WIN, -1)
+    exps = {g: m_exponent(kin, g, rho, WIN) for g in ("FGB", "Coulomb")}
+    slack = {g: 2e-15 * charge ** 2 / r_m1 * max(
+        abs(v) for v in exp.breakdown().values()) for g, exp in exps.items()}
+    got = -2.0 * exps["Coulomb"].total.real / r_m1
+    if model == "BN":
+        ua2, ub2 = 1.0 - a @ a, 1.0 - b @ b
+        d = a - b
+        s = np.sqrt(max(d @ d - np.cross(a, b) @ np.cross(a, b), 0.0))
+        theta = np.arcsinh(s / np.sqrt(ua2 * ub2))
+        want = 2.0 * alpha / np.pi * _theta_coth_excess(theta)
+    else:
+        want = 2.0 * alpha / (3.0 * np.pi) * ((a - b) @ (a - b))
+    assert abs(got - want) <= 1e-12 * abs(want) + slack["Coulomb"]
+    if model == "dipole":
+        fgb = -2.0 * exps["FGB"].total.real / r_m1
+        assert abs(fgb - 1.5 * got) <= 1e-12 * abs(fgb) + slack["FGB"]
+
+
 def test_luminal_leg_is_fast_and_finite():
     # beta = 0.999 used to end in QuadratureError after tens of seconds
     import time

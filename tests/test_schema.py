@@ -422,6 +422,14 @@ def test_flags_pass_the_same_rules(flags):
                          for command in COMMANDS])
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--Lambda", "-inf"), ("--lambda", "-1e-3"), ("--lambda", "-nan")])
+def test_negative_flag_values_match_the_joined_spelling(flag, value):
+    assert_config_error([run(BN, command=command, flags=(flag, value))
+                         for command in COMMANDS]
+                        + [run(BN, flags=(f"{flag}={value}",))])
+
+
 @pytest.mark.parametrize("photon", [
     {"type": "bump", "center": NAN, "width": 0.1, "components": [0, 1, 0, 0]},
     {"type": "bump", "center": 0.5, "width": INF,
