@@ -687,7 +687,7 @@ def _parser() -> argparse.ArgumentParser:
         description="soft-photon radiative corrections in two gauges")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("corrections", "emission", "gauge-check", "fock-verify"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("config")
         if name == "emission":
             p.add_argument("photons", help="photon spec JSON file")

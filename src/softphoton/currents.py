@@ -25,7 +25,7 @@ from .core import (
     transverse_projector,
 )
 # perfbench/tracer.py patches _gl and integrate_radial here (_gl is not called)
-from .quadrature import _gl, integrate_radial, integrate_sphere
+from .quadrature import _gl, integrate_radial
 
 __all__ = [
     "CurrentSpec",
@@ -220,22 +220,26 @@ class CoherenceFunction:
     def window_norm(self) -> float:
         """Plain component-square norm Int d3k |f(k)|^2 over the window.
 
+        |f|^2 depends on the direction only through c = cos(theta) about
+        the leg velocity, so the norm is 2 pi times ``integrate_radial``
+        over c in [-1, 1] (one column per |k| node) inside
         ``integrate_radial`` over |k| (panel edges at the form factor's
-        knots) of ``integrate_sphere`` over directions: |f|^2 depends on the
-        direction only through its angle to the leg velocity, so the sphere
-        rule is one-dimensional about that axis.
+        knots).
         """
-        axis = self.spec.kin.velocity(self.leg).spatial
+        v = self.spec.kin.velocity(self.leg).spatial
+        xhat, yhat = polarization_frame(v if v.any() else (0.0, 0.0, 1.0))
+        zhat = np.cross(xhat, yhat)
 
         def shell(ks):
-            def kernel(khat):
+            def ring(c):
+                khat = np.outer(c, zhat) + np.outer(np.sqrt(1.0 - c * c), xhat)
                 vals = self((khat[:, None, :] * ks[:, None]).reshape(-1, 3))
                 return np.sum(np.abs(vals) ** 2, axis=-1).reshape(
-                    len(khat), len(ks))
-            return ks ** 2 * integrate_sphere(kernel, axis, np.zeros(3))
+                    len(c), len(ks))
+            return ks ** 2 * integrate_radial(ring, -1.0, 1.0)
 
         win = self.spec.window
-        return float(np.real(integrate_radial(
+        return 2.0 * np.pi * float(np.real(integrate_radial(
             shell, win.lam, win.Lam, breaks=self.spec.rho.knots())))
 
 
@@ -266,14 +270,12 @@ def phase_exponent_d(u: FourVelocity, t: float, eps: float, rho: FormFactor,
         return (np.exp(-eps * t) * np.sin(omega * t)
                 + omega / (2.0 * eps) * (np.expm1(-2.0 * eps * t)))
 
-    v = u.spatial
-
     def radial(ks):
-        # the kernel depends on khat only through v.khat: a 1d rule about v
-        def kernel(khat):
-            omega = np.multiply.outer(1.0 - khat @ v, ks)
+        # the kernel depends on khat only through c = cos(theta) about u
+        def kernel(c):
+            omega = np.multiply.outer(1.0 - u.beta * c, ks)
             return bracket(omega) / (omega ** 2 + eps ** 2)
-        return rho(ks) ** 2 * ks * integrate_sphere(kernel, v, np.zeros(3))
+        return rho(ks) ** 2 * ks * integrate_radial(kernel, -1.0, 1.0)
 
     val = integrate_radial(radial, window.lam, window.Lam, breaks=rho.knots())
-    return float(np.real(val)) * (-1.0 / (8.0 * np.pi ** 3))
+    return float(np.real(val)) * (-1.0 / (4.0 * np.pi ** 2))

@@ -26,14 +26,16 @@ and S. Weinberg, Phys. Rev. 140, B516 (1965)):
   excess atanh(t)/t - 1 (series below t^2 = 0.1, logs of the exactly known
   complement 1 - t^2 above), which keeps their digits.
 
-The adaptive Gauss-Legendre panel rule on [lam, Lam] (``integrate_radial``)
-and the doubling Gauss-Legendre x trapezoid rule on the unit sphere
-(``integrate_sphere``) remain for what has no closed form: continuum emission
-factors, the radial part of the regularized (adiabatic epsilon > 0)
-exponents and other radial powers.  The test suite uses them as the
-independent oracle for every closed form here.  Both certify the same fixed
-targets: their error estimate (the change under order doubling) must fall
-below 5e-13 relative or 1e-14 absolute, or they raise QuadratureError.
+The adaptive Gauss-Legendre panel rule (``integrate_radial``) remains for
+what has no closed form: radial parts of continuum emission factors and of
+the regularized (adiabatic epsilon > 0) exponents, other radial powers, and
+the cos(theta) integral of each kernel symmetric about one axis.  The
+doubling Gauss-Legendre x trapezoid rule on the unit sphere
+(``integrate_sphere``) serves only kernels that depend on the azimuth too:
+continuum emission factors.  The test suite uses both as the independent
+oracle for every closed form here.  Both certify the same fixed targets:
+their error estimate (the change under order doubling) must fall below
+5e-13 relative or 1e-14 absolute, or they raise QuadratureError.
 
 Conventions: w-measure shorthand Int w = Int d3k / ((2 pi)^3 2|k|), omega =
 u.k on the photon shell, a_r(khat) = 1 - uvec_r . khat.
@@ -97,27 +99,28 @@ def _panels(fn, intervals) -> list:
     The order-16 and order-32 nodes of every interval go to ``fn`` as one
     array; each rule then sums its own slice of the values, interval by
     interval, so the value is the order-32 sum and the estimate its change
-    from order 16.
+    from order 16.  Values with K columns give K sums and K estimates.
     """
     rules = [(0.5 * (lo + hi), 0.5 * (hi - lo), *_gl(order))
              for lo, hi in intervals for order in (_ORDER, 2 * _ORDER)]
     vals = fn(np.concatenate([mid + half * x for mid, half, x, _ in rules]))
     sums, start = [], 0
     for _, half, x, w in rules:
-        sums.append(half * np.sum(w * vals[start:start + len(x)]))
+        sums.append(half * (w * vals[start:start + len(x)].T).sum(-1))
         start += len(x)
     return [[abs(fine - coarse), lo, hi, fine] for (lo, hi), coarse, fine
             in zip(intervals, sums[0::2], sums[1::2])]
 
 
-def integrate_radial(fn, a: float, b: float, breaks=()) -> complex:
+def integrate_radial(fn, a: float, b: float, breaks=()):
     """Adaptive Gauss-Legendre panels; error estimated by order doubling.
 
-    ``fn`` must accept a 1d numpy array and may return complex values; it
-    is called once per refinement step, on the nodes of several panels at
-    once (every initial panel, then both halves of a split), so it must act
-    point by point.  ``breaks`` lists interior points where smoothness
-    fails (panel edges are forced there).
+    ``fn`` must accept a 1d numpy array and return complex or real values,
+    or an (n, K) array, one row per node, for K integrals each certified to
+    the target; it is called once per refinement step, on the nodes of
+    several panels at once (every initial panel, then both halves of a
+    split), so it must act point by point.  ``breaks`` lists interior
+    points where smoothness fails (panel edges are forced there).
     """
     if not b > a:
         raise ValueError("empty radial interval")
@@ -126,13 +129,17 @@ def integrate_radial(fn, a: float, b: float, breaks=()) -> complex:
     while True:
         total = sum(p[3] for p in panels)
         err = sum(p[0] for p in panels)
-        if err <= max(_ABS_TOL, _REL_TOL * abs(total)):
+        # per entry: err <= max(_ABS_TOL, _REL_TOL |total|), NaN failing
+        if all(((err <= _ABS_TOL) | (err <= _REL_TOL * abs(total))).flat):
             return total
         if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
-                f"radial error estimate {err:.3e} above tolerance after "
-                f"{len(panels)} panels")
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+                f"radial error estimate {max(err.flat):.3e} above tolerance "
+                f"after {len(panels)} panels")
+        # split where the column farthest above its target errs the most
+        col = () if err.ndim == 0 else np.argmax(
+            err / np.maximum(_ABS_TOL, _REL_TOL * abs(total)))
+        worst = max(range(len(panels)), key=lambda i: panels[i][0][col])
         _, lo, hi, _ = panels[worst]
         mid = 0.5 * (lo + hi)
         panels[worst:worst + 1] = _panels(fn, [(lo, mid), (mid, hi)])
@@ -277,65 +284,54 @@ def _frame(v_a: np.ndarray, v_b: np.ndarray):
     pn = np.linalg.norm(perp)
     if pn > 1e-13:
         xhat = perp / pn
-        azimuthal = True
     else:
         trial = np.array([1.0, 0.0, 0.0])
         if abs(trial @ zhat) > 0.9:
             trial = np.array([0.0, 1.0, 0.0])
         xhat = trial - (trial @ zhat) * zhat
         xhat /= np.linalg.norm(xhat)
-        azimuthal = False
-    yhat = np.cross(zhat, xhat)
-    return zhat, xhat, yhat, azimuthal
+    return zhat, xhat, np.cross(zhat, xhat)
 
 
-def integrate_sphere(kernel, v_a, v_b, force_full: bool = False):
-    """Int dOmega kernel(khat) for kernels built from at most two directions.
+def integrate_sphere(kernel, v_a, v_b):
+    """Int dOmega kernel(khat) for kernels that depend on the azimuth.
 
-    ``kernel`` receives an (m, 3) array of unit vectors and returns a length-m
-    array (real or complex), or an (m, K) array of K integrands, one row per
-    direction; the result then has K entries, each certified to the target.
-    Orders double until two successive evaluations agree.  ``force_full``
-    keeps full azimuthal sampling even when the two frame vectors alone
-    would permit a one-dimensional rule (needed when the kernel depends on
-    directions beyond v_a and v_b).
+    Gauss-Legendre in cos(theta) about v_a times the trapezoid rule in phi,
+    with phi = 0 towards v_b; both orders double together until two
+    successive evaluations agree.  (A kernel of one axis is a cos(theta)
+    integral for ``integrate_radial``.)  ``kernel`` receives an (m, 3) array
+    of unit vectors and returns a length-m array (real or complex), or an
+    (m, K) array of K integrands, one row per direction; the result then
+    has K entries, each certified to the target.
     """
-    v_a = np.asarray(v_a, dtype=float)
-    v_b = np.asarray(v_b, dtype=float)
-    zhat, xhat, yhat, azimuthal = _frame(v_a, v_b)
-    azimuthal = azimuthal or force_full
+    zhat, xhat, yhat = _frame(np.asarray(v_a, dtype=float),
+                              np.asarray(v_b, dtype=float))
 
-    def evaluate(n_c: int, n_phi: int):
-        c, wc = _gl(n_c)
+    def evaluate(n: int):
+        c, wc = _gl(n)
         s = np.sqrt(1.0 - c ** 2)
-        if n_phi == 1:
-            khat = np.outer(c, zhat) + np.outer(s, xhat)
-            return 2.0 * np.pi * (wc @ kernel(khat))
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        wphi = 2.0 * np.pi / n_phi
+        phi = 2.0 * np.pi * np.arange(n) / n
+        wphi = 2.0 * np.pi / n
         cphi, sphi = np.cos(phi), np.sin(phi)
         khat = (c[:, None, None] * zhat
                 + (s[:, None] * cphi)[:, :, None] * xhat
                 + (s[:, None] * sphi)[:, :, None] * yhat)
         vals = kernel(khat.reshape(-1, 3))
-        vals = vals.reshape(n_c, n_phi, *vals.shape[1:])
+        vals = vals.reshape(n, n, *vals.shape[1:])
         return (wc @ vals.sum(axis=1)) * wphi
 
-    n_c = _ORDER
-    n_phi = _ORDER if azimuthal else 1
-    prev = evaluate(n_c, n_phi)
+    n = _ORDER
+    prev = evaluate(n)
     while True:
-        n_c *= 2
-        if azimuthal:
-            n_phi *= 2
-        cur = evaluate(n_c, n_phi)
+        n *= 2
+        cur = evaluate(n)
         err = np.abs(cur - prev)
         if np.all(err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur))):
             return cur
-        if n_c > _MAX_ANGULAR_ORDER:
+        if n > _MAX_ANGULAR_ORDER:
             raise QuadratureError(
                 f"angular error estimate {np.max(err):.3e} above tolerance "
-                f"at order {n_c}")
+                f"at order {n}")
         prev = cur
 
 

@@ -172,7 +172,7 @@ def emission_factor(kin: ScatteringKinematics, gauge: str, photon,
             F = displacement_profile(kin, gauge, rho, window, ks)
             return (fbar * F) @ metric
 
-        return integrate_sphere(kernel, v_out, v_in, force_full=True)
+        return integrate_sphere(kernel, v_out, v_in)
 
     def radial_fn(ks: np.ndarray) -> np.ndarray:
         return ks ** 2 * np.array([sphere_part(float(k)) for k in ks])

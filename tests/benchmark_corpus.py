@@ -12,8 +12,14 @@ The second set is compared against ``data/benchmark_digests.json``, which
 also names the python and numpy versions that made it.  Both perfbench
 modules are imported by path and used unchanged.
 
-    python tests/benchmark_corpus.py           # print the run as JSON
-    python tests/benchmark_corpus.py --write   # regenerate the digest file
+    python tests/benchmark_corpus.py             # print the run as JSON
+    python tests/benchmark_corpus.py --write     # regenerate the digest file
+    python tests/benchmark_corpus.py --diff REV  # jobs whose bytes moved
+
+``--diff`` checks REV out into a temporary ``git worktree`` (removed
+afterwards), runs REV's own copy of this file there, and prints each job
+whose exit code, report digest or stderr differs from this tree's run,
+then their count.
 
 reference.py imports scipy, so tier-1 runs this file in a subprocess
 (tests/test_cli.py) to keep scipy out of the test process.
@@ -26,6 +32,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -81,8 +88,8 @@ def run(main, workdir: Path, name: str, job: dict) -> tuple:
     return rc, error, report, err.getvalue().replace(str(workdir), "<dir>")
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def collect() -> dict:
+    """Run the corpus in this process: versions, per-job digests, failures."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy
 
@@ -101,18 +108,58 @@ def main(argv=None) -> int:
             digests[f"{name}:{job['id']}"] = [
                 rc, None if report is None
                 else hashlib.sha256(report).hexdigest(), stderr]
-    result = {"python": sys.version.split()[0], "numpy": numpy.__version__,
-              "jobs": digests}
+    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+            "jobs": digests, "failures": failures}
+
+
+def run_at(rev: str) -> dict:
+    """``collect()`` of commit REV, run from a temporary git worktree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run([*git, "add", "--detach", str(tree), rev], check=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(tree / "tests" / "benchmark_corpus.py")],
+                capture_output=True, text=True)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the corpus at {rev} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def moved(old: dict, new: dict) -> list:
+    """One line per job whose [exit code, digest, stderr] differs."""
+    fields = ("exit code", "report digest", "stderr")
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: only in {'REV' if b is None else 'tree'}")
+        elif a != b:
+            what = ", ".join(f for f, x, y in zip(fields, a, b) if x != y)
+            lines.append(f"{key}: {what}")
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--diff":
+        lines = moved(run_at(argv[1])["jobs"], collect()["jobs"])
+        print("\n".join([*lines, f"{len(lines)} jobs differ from {argv[1]}"]))
+        return 0
+    result = collect()
     if argv == ["--write"]:
         # one line per job, so a regenerated file diffs job by job
         rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(val)}"
-                          for key, val in digests.items())
+                          for key, val in result["jobs"].items())
         DIGESTS.parent.mkdir(exist_ok=True)
         DIGESTS.write_text(
             f'{{"python": {json.dumps(result["python"])}, '
             f'"numpy": {json.dumps(result["numpy"])},\n'
             f' "jobs": {{\n{rows}\n}}}}\n', encoding="utf-8")
-    print(json.dumps({**result, "failures": failures}))
+    print(json.dumps(result))
     return 0
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, outputs, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -858,6 +859,21 @@ assert all(after[key] is value for key, value in before.items()
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_benchmark_corpus_diff_lists_moved_jobs():
+    # the comparison behind `benchmark_corpus.py --diff REV`
+    path = Path(__file__).resolve().parent / "benchmark_corpus.py"
+    spec = importlib.util.spec_from_file_location("benchmark_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    old = {"a:1": [0, "d1", ""], "a:2": [0, "d2", ""], "a:3": [2, None, "x"],
+           "a:4": [0, "d4", ""]}
+    new = {"a:1": [0, "d1", ""], "a:2": [0, "d9", ""], "a:3": [2, None, "y"],
+           "a:5": [0, "d5", ""]}
+    assert corpus.moved(old, new) == ["a:2: report digest", "a:3: stderr",
+                                      "a:4: only in REV", "a:5: only in tree"]
+    assert corpus.moved(old, old) == []
 
 
 def test_benchmark_corpus_meets_reference_and_parent_bytes():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softphoton import CutoffWindow, FormFactor, FourVelocity, ScatteringKinematics
+from softphoton import quadrature
 from softphoton.currents import (
     CoherenceFunction,
     CurrentSpec,
@@ -235,10 +236,8 @@ def test_window_norm_closed_forms_off_axis(gauge, rho):
     cases = [((0.0, 0.2, 0.0), (0.5, 0.0, 0.0)),
              (0.9 * _unit(rng), 0.1 * _unit(rng)),
              (0.3 * _unit(rng), 0.7 * _unit(rng)),
-             (0.99 * _unit(rng), 0.6 * _unit(rng))]
-    if gauge == "Coulomb":
-        # an FGB leg this fast needs more than the sphere rule's cap
-        cases.append((0.999 * _unit(rng), 0.4 * _unit(rng)))
+             (0.99 * _unit(rng), 0.6 * _unit(rng)),
+             (0.999 * _unit(rng), 0.4 * _unit(rng))]
     for u_in, u_out in cases:
         turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         norms = []
@@ -254,6 +253,25 @@ def test_window_norm_closed_forms_off_axis(gauge, rho):
                        else 8.0 * np.pi * (np.arctanh(beta) - beta) / beta)
             assert got == pytest.approx(radial * angular, rel=1e-12)
             assert turned == pytest.approx(got, rel=1e-12)
+
+
+@pytest.mark.parametrize("gauge", ["FGB", "Coulomb"])
+def test_near_luminal_shell_integrals_stay_low_order(gauge, monkeypatch):
+    # the adaptive cos(theta) panels resolve 1/(1 - beta c) at beta = 0.999
+    # by splitting, with no Gauss-Legendre table above the panel rule's 32
+    orders = []
+    table = quadrature._gl
+
+    def recording(n):
+        orders.append(n)
+        return table(n)
+    monkeypatch.setattr(quadrature, "_gl", recording)
+    u = (0.999 / np.sqrt(3.0)) * np.array([1.0, -1.0, 1.0])
+    kin = ScatteringKinematics.bn((0.0, 0.0, 0.0), u, charge=0.3)
+    assert CoherenceFunction(CurrentSpec(kin, gauge, SHARP, WIN),
+                             "out").window_norm() > 0.0
+    assert phase_exponent_d(kin.velocity("out"), 2.0, 0.1, SHARP, WIN) > 0.0
+    assert orders and max(orders) <= 32
 
 
 @pytest.mark.parametrize("kin", [KIN_BN, KIN_DIP], ids=["BN", "dipole"])

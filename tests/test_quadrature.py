@@ -376,6 +376,22 @@ class TestEngine:
         with pytest.raises(QuadratureError):
             integrate_sphere(kern, v, np.zeros(3))
 
+    def test_angular_failure_raises_one_axis(self, monkeypatch):
+        # the same kernel of one axis as a cos(theta) integral
+        self.small_limits(monkeypatch, _ORDER=8, _MAX_PANELS=4,
+                          _ABS_TOL=1e-16, _REL_TOL=1e-16)
+        with pytest.raises(QuadratureError):
+            integrate_radial(lambda c: 1.0 / (1.0 - 0.99 * c) ** 2, -1.0, 1.0)
+
+    def test_column_failure_raises(self, monkeypatch):
+        # one column that cannot converge fails the whole (n, K) integral
+        self.small_limits(monkeypatch, _ORDER=4, _MAX_PANELS=6,
+                          _ABS_TOL=1e-16, _REL_TOL=1e-16)
+        with pytest.raises(QuadratureError):
+            integrate_radial(lambda k: np.stack(
+                [np.ones_like(k), np.sqrt(np.abs(k - 0.5477))], axis=-1),
+                0.1, 1.0)
+
     def test_sphere_constant(self):
         val = integrate_sphere(lambda khat: np.ones(len(khat)),
                                np.zeros(3), np.zeros(3))
@@ -386,6 +402,46 @@ class TestEngine:
         a = m_exponent(kin, "Coulomb", GAUSS, WIN).total
         b = m_exponent(kin, "Coulomb", GAUSS, WIN).total
         assert a == b
+
+
+def _within_target(got, want):
+    # two values each certified to 5e-13 relative or 1e-14 absolute
+    return abs(got - want) <= max(1e-12 * abs(want), 2e-14)
+
+
+_COLUMNS = [lambda k: np.exp(-k) * np.sin(3.0 * k),
+            lambda k: np.exp(2j * k) / (1.0 + k),
+            lambda k: 1.0 / ((k - 0.61) ** 2 + 1e-4),
+            lambda k: np.sqrt(np.abs(k - 0.7)),
+            lambda k: np.zeros_like(k)]
+
+
+def test_radial_columns_match_scalar_calls():
+    stacked = integrate_radial(
+        lambda k: np.stack([f(k) for f in _COLUMNS], axis=-1), 0.1, 2.0,
+        breaks=(0.7,))
+    assert stacked.shape == (len(_COLUMNS),)
+    for f, got in zip(_COLUMNS, stacked):
+        assert _within_target(got, integrate_radial(f, 0.1, 2.0,
+                                                    breaks=(0.7,)))
+
+
+def test_small_column_beside_a_peaked_one_converges():
+    # the small column's target is 1e-8 of its neighbour's: a split must go
+    # where a column is farthest above its own target, not to the largest
+    # error, or the neighbour's rounding-level errors stall refinement
+    def peak(k, centre, width=1e-3):
+        return 1.0 / ((k - centre) ** 2 + width ** 2)
+
+    def exact(centre, width=1e-3):
+        return (np.arctan((2.0 - centre) / width)
+                - np.arctan((0.1 - centre) / width)) / width
+
+    big, small = integrate_radial(
+        lambda k: np.stack([1e8 * peak(k, 0.3), peak(k, 1.3)], axis=-1),
+        0.1, 2.0)
+    assert _within_target(big, 1e8 * exact(0.3))
+    assert _within_target(small, exact(1.3))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +693,46 @@ def test_textbook_soft_photon_exponent(model, kind, charge, beta_in,
     if model == "dipole":
         fgb = -2.0 * exps["FGB"].total.real / r_m1
         assert abs(fgb - 1.5 * got) <= 1e-12 * abs(fgb) + slack["FGB"]
+
+
+def _limit_bound(m2):
+    """Largest |R - 1| for R = 3 (theta coth theta - 1) / |a - b|^2.
+
+    With m2 = max(|a|^2, |b|^2) and t = tanh(theta):
+    t^2 = (|a - b|^2 - |a x b|^2) / (1 - a.b)^2 and |a x b| <= m |a - b|, so
+    t^2 / |a - b|^2 lies in [(1 - m2) / (1 + m2)^2, 1 / (1 - m2)^2];
+    theta^2 / t^2 = (atanh(t) / t)^2 lies in [1, 1 + t^2] for t <= 1/2; and
+    3 (theta coth theta - 1) / theta^2 = 1 - theta^2/15 + 2 theta^4/315 - ...
+    lies in [1 - theta^2/15, 1].
+    """
+    t2 = 4.0 * m2 / (1.0 - m2) ** 2  # |a - b| <= 2m
+    upper = (1.0 + t2) / (1.0 - m2) ** 2 - 1.0
+    lower = 1.0 - (1.0 - t2 * (1.0 + t2) / 15.0) * (1.0 - m2) / (1.0 + m2) ** 2
+    return max(upper, lower)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(RHOS)), charge=st.floats(1e-3, 2.0),
+       speed_in=st.floats(1e-6, 1e-1), speed_out=st.floats(1e-6, 1e-1),
+       ang_in=_angles, ang_out=_angles)
+def test_slow_bn_legs_meet_the_dipole(kind, charge, speed_in, speed_out,
+                                      ang_in, ang_out):
+    # BN legs with u = v against dipole legs with p/m = v, m = 1: in Coulomb
+    # gauge the totals agree to R - 1 = O(v^2) (_limit_bound), and in FGB the
+    # BN total is 2/3 of the dipole one to the same order, as the dipole FGB
+    # exponent is 3/2 of its Coulomb one.  Each total is a difference of its
+    # parts and carries their rounding: 2e-15 of the largest part per model.
+    rho = RHOS[kind]
+    a, b = speed_in * _direction(*ang_in), speed_out * _direction(*ang_out)
+    bound = _limit_bound(max(a @ a, b @ b))
+    for gauge, ratio in (("Coulomb", 1.0), ("FGB", 2.0 / 3.0)):
+        exps = [m_exponent(_kinematics(model, a, b, charge), gauge, rho, WIN)
+                for model in ("BN", "dipole")]
+        bn, dip = (e.total.real for e in exps)
+        slack = sum(2e-15 * charge ** 2 * max(abs(v) for v in
+                                              e.breakdown().values())
+                    for e in exps)
+        assert abs(bn - ratio * dip) <= bound * abs(ratio * dip) + slack, gauge
 
 
 def test_luminal_leg_is_fast_and_finite():

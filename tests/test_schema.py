@@ -430,6 +430,22 @@ def test_negative_flag_values_match_the_joined_spelling(flag, value):
                         + [run(BN, flags=(f"{flag}={value}",))])
 
 
+@pytest.mark.parametrize("flags", [
+    ("--lam", "-1e-3"), ("--Lam", "-inf"), ("--lam=-1e-3",), ("--se", "3")])
+def test_abbreviated_flags_are_unrecognized(flags, tmp_path, capsys):
+    # flags are spelled in full: a prefix is an unknown argument, never a
+    # second reading of the same flag
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BN), encoding="utf-8")
+    for command in COMMANDS:
+        files = [str(config)] + ([str(config)] if command == "emission"
+                                 else [])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("photon", [
     {"type": "bump", "center": NAN, "width": 0.1, "components": [0, 1, 0, 0]},
     {"type": "bump", "center": 0.5, "width": INF,

@@ -270,13 +270,15 @@ class TestEmissionFactorContinuum:
         # a fine radial grid along one direction reproduces the continuum
         # integral restricted to that ray; instead compare full quadrature
         # against a dense matched sum over a product grid
-        kin = bn_kin(u_out=(0.0, 0.0, 0.4))
+        # legs off every axis and a photon with all four components, so
+        # that the factor depends on the azimuth about each leg
+        kin = bn_kin(u_in=(0.2, 0.1, 0.0), u_out=(0.0, -0.2, 0.5))
 
         def photon(k):
             # one k or a stack of them
             val = np.exp(-((np.linalg.norm(k, axis=-1) - 0.5) / 0.15) ** 2)
-            zero = np.zeros_like(val)
-            return np.stack([zero, val, 0.5j * val, zero], axis=-1)
+            return np.stack([0.3 * val, val, 0.5j * val, -0.2 * val],
+                            axis=-1)
 
         factor = emission_factor(kin, "FGB", photon, RHO, WINDOW)
         # oracle: manual high-order tensor quadrature, all nodes in one pass
@@ -301,6 +303,7 @@ class TestEmissionFactorContinuum:
         total = np.sum(weight[:, None, None] * wc[None, :, None]
                        * (2.0 * np.pi / nphi) * acc)
         oracle = -kin.charge * total
+        assert abs(factor) > 1e-3
         assert factor == pytest.approx(oracle, rel=1e-9)
 
 
